@@ -86,6 +86,10 @@ type Node struct {
 	done chan struct{}
 	stop chan struct{}
 
+	// inbox is drain's buffer, reused every tick: Machine.Step must not
+	// retain its received slice.
+	inbox []types.Message
+
 	mu       sync.Mutex
 	err      error
 	stopOnce sync.Once
@@ -187,18 +191,21 @@ func (n *Node) run(ctx context.Context) {
 	}
 }
 
-// drain collects every message currently queued without blocking.
+// drain collects every message currently queued without blocking, into
+// the node's reused inbox buffer. Entries left from the previous tick are
+// cleared first so their payloads can be collected.
 func (n *Node) drain() []types.Message {
-	var out []types.Message
+	clear(n.inbox)
+	n.inbox = n.inbox[:0]
 	for {
 		select {
 		case m, ok := <-n.cfg.Transport.Recv():
 			if !ok {
-				return out
+				return n.inbox
 			}
-			out = append(out, m)
+			n.inbox = append(n.inbox, m)
 		default:
-			return out
+			return n.inbox
 		}
 	}
 }

@@ -41,6 +41,7 @@ func RegisterWirePayloads() {
 		gob.Register(threepc.AbortMsg{})
 		gob.Register(txn.Envelope{})
 		gob.Register(txn.BatchEnvelope{})
+		gob.Register(txn.Bundle{})
 		gob.Register(recovery.QueryMsg{})
 		gob.Register(recovery.ReplyMsg{})
 		gob.Register(paxoscommit.Prepare1aMsg{})

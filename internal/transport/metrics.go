@@ -12,13 +12,14 @@ import (
 // All handles are nil (and their methods no-ops) when no registry is
 // configured, so the uninstrumented fast path pays only nil checks.
 type metrics struct {
-	sent      *obs.Counter
-	delivered *obs.Counter
-	dropped   *obs.Counter
-	bytesSent *obs.Counter
-	delay     *obs.HistogramVec
-	kind      string
-	links     *linkCache
+	sent         *obs.Counter
+	delivered    *obs.Counter
+	dropped      *obs.Counter
+	bytesSent    *obs.Counter
+	streamErrors *obs.Counter
+	delay        *obs.HistogramVec
+	kind         string
+	links        *linkCache
 }
 
 // newMetrics builds the transport metric families, labeled by transport
@@ -35,6 +36,8 @@ func newMetrics(reg *obs.Registry, kind string) metrics {
 			"Messages dropped (crashed endpoint, loss injection, or queue overflow).", "transport").With(kind),
 		bytesSent: reg.CounterVec("transport_bytes_sent_total",
 			"Payload bytes handed to the transport (protocol wire size, framing excluded).", "transport").With(kind),
+		streamErrors: reg.CounterVec("transport_stream_errors_total",
+			"Inbound streams torn down on a malformed frame; frames still buffered on them are lost.", "transport").With(kind),
 		delay: reg.HistogramVec("transport_delay_seconds",
 			"Per-link delivery delay: injected latency (channel) or send-path duration (tcp).",
 			obs.DefBuckets, "transport", "link"),

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -42,11 +41,11 @@ type TCPNode struct {
 	wg   sync.WaitGroup
 }
 
-// outConn is one outbound connection. Writes go through a bufio.Writer;
-// flushes coalesce: each sender registers in waiters before taking the
-// write lock, and only the sender that drops waiters back to zero flushes.
-// Under contention a burst of messages rides one syscall; a lone sender
-// flushes immediately, so latency never waits on a timer.
+// outConn is one outbound connection. Writes go through a bufio.Writer
+// that is flushed after every message: a node sends from its single
+// stepping goroutine, and a manager step already packs everything it
+// sends to one peer into one txn.Bundle frame, so there is no burst for
+// a deferred flush to coalesce.
 type outConn struct {
 	c net.Conn
 
@@ -54,23 +53,20 @@ type outConn struct {
 	w       *bufio.Writer
 	scratch []byte // frame assembly buffer, reused across sends
 	gobBuf  bytes.Buffer
-	waiters atomic.Int32
 }
 
 func newOutConn(c net.Conn) *outConn {
 	return &outConn{c: c, w: bufio.NewWriterSize(c, 1<<15)}
 }
 
-// send frames, writes, and (when last in line) flushes one message.
+// send frames, writes and flushes one message.
 func (oc *outConn) send(msg types.Message) error {
-	oc.waiters.Add(1)
 	oc.mu.Lock()
-	err := oc.writeLocked(msg)
-	if oc.waiters.Add(-1) == 0 && err == nil {
-		err = oc.w.Flush()
+	defer oc.mu.Unlock()
+	if err := oc.writeLocked(msg); err != nil {
+		return err
 	}
-	oc.mu.Unlock()
-	return err
+	return oc.w.Flush()
 }
 
 func (oc *outConn) writeLocked(msg types.Message) error {
@@ -188,7 +184,8 @@ func (n *TCPNode) readLoop(c net.Conn) {
 		}
 		size := binary.BigEndian.Uint32(hdr[:])
 		if size == 0 || size > maxFrameBytes {
-			return // corrupt stream
+			n.streamError()
+			return
 		}
 		if cap(body) < int(size) {
 			body = make([]byte, size)
@@ -197,21 +194,9 @@ func (n *TCPNode) readLoop(c net.Conn) {
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
-		var msg types.Message
-		switch body[0] {
-		case fmtBinary:
-			m, err := decodeMessage(body[1:])
-			if err != nil {
-				return
-			}
-			msg = m
-		case fmtGob:
-			var f frame
-			if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&f); err != nil {
-				return
-			}
-			msg = f.Msg
-		default:
+		msg, err := decodeFrame(body)
+		if err != nil {
+			n.streamError()
 			return
 		}
 		n.mu.Lock()
@@ -229,6 +214,31 @@ func (n *TCPNode) readLoop(c net.Conn) {
 			m.dropped.Inc()
 		}
 	}
+}
+
+// decodeFrame decodes one frame body: the format byte, then a binary or
+// gob encoding of the message.
+func decodeFrame(body []byte) (types.Message, error) {
+	switch body[0] {
+	case fmtBinary:
+		return decodeMessage(body[1:])
+	case fmtGob:
+		var f frame
+		err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&f)
+		return f.Msg, err
+	default:
+		return types.Message{}, fmt.Errorf("transport: unknown frame format %#x", body[0])
+	}
+}
+
+// streamError counts an inbound stream torn down on a malformed frame.
+// The connection closes, so every frame still buffered behind the bad
+// one is lost; the sender re-dials on its next failed write.
+func (n *TCPNode) streamError() {
+	n.mu.Lock()
+	m := n.m
+	n.mu.Unlock()
+	m.streamErrors.Inc()
 }
 
 // Send implements Transport.

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -66,9 +67,9 @@ type HubOptions struct {
 	// (messages/bytes sent, delivered, dropped, per-link delay).
 	Registry *obs.Registry
 	// Spans, if non-nil, receives one link span per non-dropped message
-	// (send time to scheduled delivery). Payloads carrying a transaction
-	// id (anything with a TxnID() string method, e.g. txn.Envelope) are
-	// attributed to that transaction.
+	// (send time to scheduled delivery), or per item of a txn.Bundle.
+	// Payloads carrying a transaction id (anything with a TxnID() string
+	// method, e.g. txn.Envelope) are attributed to that transaction.
 	Spans *span.Collector
 }
 
@@ -179,20 +180,16 @@ func (h *Hub) deliver(msg types.Message) error {
 	}
 	h.m.observeDelay(msg.From, msg.To, delay.Seconds())
 	if h.opts.Spans != nil {
-		txnID := ""
-		if tp, ok := msg.Payload.(interface{ TxnID() string }); ok {
-			txnID = tp.TxnID()
-		}
-		name := "msg"
-		if msg.Payload != nil {
-			name = msg.Payload.Kind()
-		}
 		now := h.opts.Spans.Now()
-		h.opts.Spans.Add(span.Span{
-			Txn: txnID, Track: span.NetTrack, Name: name, Kind: span.KindLink,
-			Start: now, End: now + delay.Microseconds(),
-			From: int(msg.From), To: int(msg.To),
-		})
+		if b, ok := msg.Payload.(txn.Bundle); ok {
+			// One link span per envelope, as if each had travelled alone,
+			// so per-transaction span graphs do not see the bundling.
+			for _, it := range b.Items {
+				h.linkSpan(msg, it, now, delay)
+			}
+		} else {
+			h.linkSpan(msg, msg.Payload, now, delay)
+		}
 	}
 	copies := 1 + fault.Duplicates
 	if delay <= 0 {
@@ -209,6 +206,24 @@ func (h *Hub) deliver(msg types.Message) error {
 		}
 	})
 	return nil
+}
+
+// linkSpan records one link span for payload p carried by msg, sent at
+// now and due after delay.
+func (h *Hub) linkSpan(msg types.Message, p types.Payload, now int64, delay time.Duration) {
+	txnID := ""
+	if tp, ok := p.(interface{ TxnID() string }); ok {
+		txnID = tp.TxnID()
+	}
+	name := "msg"
+	if p != nil {
+		name = p.Kind()
+	}
+	h.opts.Spans.Add(span.Span{
+		Txn: txnID, Track: span.NetTrack, Name: name, Kind: span.KindLink,
+		Start: now, End: now + delay.Microseconds(),
+		From: int(msg.From), To: int(msg.To),
+	})
 }
 
 func (h *Hub) enqueue(msg types.Message) {

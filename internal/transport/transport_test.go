@@ -1,11 +1,16 @@
 package transport_test
 
 import (
+	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/transport"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -361,5 +366,85 @@ func TestWithFaultsOverTCP(t *testing.T) {
 	}
 	if err := wrapped.Send(types.Message{To: 1, Payload: core.VoteMsg{}}); err == nil {
 		t.Error("send after close succeeded")
+	}
+}
+
+// TestHubLinkSpanPerBundledEnvelope: a bundle is one hub message but one
+// link span per item, each attributed to its own transaction, so span
+// graphs look as if every envelope had travelled alone.
+func TestHubLinkSpanPerBundledEnvelope(t *testing.T) {
+	reg := obs.NewRegistry()
+	spans := span.NewCollector(0)
+	hub := transport.NewHub(2, transport.HubOptions{Registry: reg, Spans: spans})
+	defer hub.Close() //nolint:errcheck
+	b := txn.Bundle{Items: []types.Payload{
+		txn.Envelope{Txn: "t1", Inner: core.VoteMsg{Val: types.V1}},
+		txn.BatchEnvelope{Batch: "b1", Txns: []txn.ID{"x"}, Inner: core.BatchVoteMsg{Vals: []types.Value{1}}},
+		txn.Envelope{Txn: "t2", Inner: core.GoMsg{}},
+	}}
+	if err := hub.Endpoint(0).Send(types.Message{To: 1, Payload: b}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recvWithTimeout(t, hub.Endpoint(1), time.Second); !ok {
+		t.Fatal("bundle not delivered")
+	}
+	if got := reg.CounterVec("transport_messages_sent_total", "", "transport").With("channel").Value(); got != 1 {
+		t.Errorf("hub counted %d messages for one bundle", got)
+	}
+	var got []string
+	for _, s := range spans.Graph().Spans {
+		got = append(got, s.Txn+" "+s.Name)
+	}
+	want := []string{"t1 txn:tc.vote", "batch:b1 txnb:tc.bvote", "t2 txn:tc.go"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("link spans = %q, want %q", got, want)
+	}
+}
+
+// TestTCPStreamErrorCounted writes a frame with an unknown format byte
+// straight onto a listener: the reader must count the torn-down stream,
+// and a later sender must get through on a fresh connection.
+func TestTCPStreamErrorCounted(t *testing.T) {
+	transport.RegisterWirePayloads()
+	reg := obs.NewRegistry()
+	n1, err := transport.ListenTCP(1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n1.Close() //nolint:errcheck
+	n1.Instrument(reg)
+	streamErrors := reg.CounterVec("transport_stream_errors_total", "", "transport").With("tcp")
+
+	c, err := net.Dial("tcp", n1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+	if _, err := c.Write([]byte{0, 0, 0, 2, 'Z', 0}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for streamErrors.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("malformed frame not counted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	n0, err := transport.ListenTCP(0, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n0.Close() //nolint:errcheck
+	n0.SetPeers(map[types.ProcID]string{1: n1.Addr()})
+	if err := n0.Send(types.Message{To: 1, Payload: core.VoteMsg{Val: types.V1}}); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := recvWithTimeout(t, n1, 2*time.Second)
+	if !ok || m.From != 0 {
+		t.Fatalf("delivery did not resume after the stream error: %#v", m)
+	}
+	if got := streamErrors.Value(); got != 1 {
+		t.Errorf("stream errors = %d, want 1", got)
 	}
 }

@@ -22,8 +22,8 @@ import (
 )
 
 // wirePayloads is one representative value per registered payload type,
-// plus the nesting combinations the protocols actually ship (Piggyback
-// and Envelope wrap inner payloads recursively).
+// plus the nesting combinations the protocols actually ship (Piggyback,
+// Envelope and Bundle wrap inner payloads recursively).
 func wirePayloads() []types.Payload {
 	return []types.Payload{
 		nil,
@@ -63,6 +63,8 @@ func wirePayloads() []types.Payload {
 		txn.BatchEnvelope{Batch: "nested", Txns: []txn.ID{"x"}, Inner: core.Piggyback{
 			Inner: agreement.VecReportMsg{Stage: 1, Vals: []types.Value{1}},
 			Coins: []types.Value{0, 1}}},
+		bundleFixture(),
+		txn.Bundle{}, // no items
 		recovery.QueryMsg{},
 		recovery.ReplyMsg{Val: types.V1},
 		paxoscommit.Prepare1aMsg{Instance: 3, Ballot: 17},
@@ -72,6 +74,47 @@ func wirePayloads() []types.Payload {
 		paxoscommit.Accept2aMsg{Instance: 4, Ballot: 0, Val: types.V1},
 		paxoscommit.Accepted2bMsg{Instance: 1, Ballot: 1 << 16, Val: types.V0},
 		paxoscommit.OutcomeMsg{Val: types.V1},
+	}
+}
+
+// bundleFixture is one manager step's output to one peer: a single
+// transaction's envelope and a batch's envelope, each carrying a
+// piggybacked GO.
+func bundleFixture() txn.Bundle {
+	return txn.Bundle{Items: []types.Payload{
+		txn.Envelope{Txn: "t1", Inner: core.Piggyback{
+			Inner: core.VoteMsg{Val: types.V1}, Coins: []types.Value{1, 0}}},
+		txn.BatchEnvelope{Batch: "b1", Txns: []txn.ID{"x", "y"}, Inner: core.Piggyback{
+			Inner: core.BatchVoteMsg{Vals: []types.Value{1, 0}}, Coins: []types.Value{0, 1}}},
+	}}
+}
+
+// TestBundleGolden pins the bundle's wire bytes: the tag, the item count,
+// then each item in its own encoding. Tags are append-only wire format,
+// so a change here breaks mixed-version clusters.
+func TestBundleGolden(t *testing.T) {
+	msg := types.Message{From: 1, To: 2, Payload: bundleFixture(), Seq: 3}
+	body, ok := appendMessage(nil, msg)
+	if !ok {
+		t.Fatal("bundle has no binary encoding")
+	}
+	want := []byte{
+		2, 4, 6, 0, 0, // From=1, To=2, Seq=3, SentClock, SentEvent (zigzag)
+		tagTxnBundle, 4, // two items
+		tagTxnEnvelope, 4, 't', '1',
+		tagCorePiggyback, tagCoreVote, 1, 4, 1, 0,
+		tagTxnBatchEnvelope, 4, 'b', '1', 4, 2, 'x', 2, 'y',
+		tagCorePiggyback, tagCoreBatchVote, 4, 1, 0, 4, 0, 1,
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("bundle bytes:\ngot  %v\nwant %v", body, want)
+	}
+	got, err := decodeMessage(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, msg) {
+		t.Fatalf("round trip:\ngot  %#v\nwant %#v", got, msg)
 	}
 }
 
@@ -205,13 +248,24 @@ func TestDecodeRejectsCorruptBodies(t *testing.T) {
 		"huge coin count":        {0, 0, 0, 0, 0, tagCoreGo, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F},
 		"huge member count":      {0, 0, 0, 0, 0, tagTxnBatchEnvelope, 0, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F},
 		"truncated vec proposal": {0, 0, 0, 0, 0, tagAgVecProposal, 2, 4, 1, 1},
+		// Two items promised, the second cut off after its tag.
+		"truncated bundle item": {0, 0, 0, 0, 0, tagTxnBundle, 4, tagCoreVote, 1, tagTxnEnvelope},
+		"huge bundle count":     hugeBundle,
 	}
 	for name, body := range cases {
 		if _, err := decodeMessage(body); err == nil {
 			t.Errorf("%s: decode accepted a corrupt body", name)
 		}
 	}
-	// Deep Piggyback nesting must hit the depth limit, not the stack.
+	// A count past the remaining bytes is refused before anything is
+	// sized from it: the decode allocates no more than an unknown tag's.
+	unknown := []byte{0, 0, 0, 0, 0, 0xEE}
+	base := testing.AllocsPerRun(100, func() { _, _ = decodeMessage(unknown) })
+	if got := testing.AllocsPerRun(100, func() { _, _ = decodeMessage(hugeBundle) }); got > base {
+		t.Errorf("huge bundle count: %v allocs per decode, unknown tag %v", got, base)
+	}
+	// Deep nesting must hit the depth limit, not the stack, both for
+	// Piggyback chains and for bundles inside bundles.
 	deep := []byte{0, 0, 0, 0, 0}
 	for i := 0; i < 10_000; i++ {
 		deep = append(deep, tagCorePiggyback)
@@ -219,7 +273,18 @@ func TestDecodeRejectsCorruptBodies(t *testing.T) {
 	if _, err := decodeMessage(deep); err == nil {
 		t.Error("deep nesting accepted")
 	}
+	nested := []byte{0, 0, 0, 0, 0}
+	for i := 0; i <= maxPayloadDepth+1; i++ {
+		nested = append(nested, tagTxnBundle, 2) // one item: the next bundle
+	}
+	nested = append(nested, tagNil)
+	if _, err := decodeMessage(nested); err == nil {
+		t.Error("bundle nesting past maxPayloadDepth accepted")
+	}
 }
+
+// hugeBundle claims ~4 billion items in a six-byte body.
+var hugeBundle = []byte{0, 0, 0, 0, 0, tagTxnBundle, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F}
 
 // FuzzDecodeMessage fuzzes the binary decoder: arbitrary bodies must never
 // panic, and any body that decodes must re-encode and decode to the same

@@ -49,13 +49,15 @@ func (e BatchEnvelope) SizeBits() int {
 // and trace edge-detection state instance keeps, and the per-element
 // reporting bitmap that fans batch decisions back out to transactions.
 type binstance struct {
-	c    *core.BatchCommit
-	txns []ID
-	idx  map[ID]int
-	key  string // trace/span key: "batch:<id>"
+	id    BatchID
+	c     *core.BatchCommit
+	txns  []ID
+	idx   map[ID]int
+	key   string          // trace/span key: "batch:<id>"
+	inbox []types.Message // unwrapped envelopes for the next step
 
 	born     int
-	haltedAt int
+	haltedAt int // manager clock of the step it halted in; -1 while running
 
 	goRecv    bool
 	goSent    bool
@@ -128,13 +130,13 @@ func (m *Manager) spawnBatchLocked(sh *mshard, batch BatchID, txns []ID, votes [
 		idx[id] = i
 	}
 	bi := &binstance{
-		c: c, txns: members, idx: idx, key: "batch:" + string(batch),
+		id: batch, c: c, txns: members, idx: idx, key: "batch:" + string(batch),
 		born: tick, haltedAt: -1,
 		round: 1, roundStartClock: tick, roundStartU: m.cfg.Spans.Now(),
 		reportedElems: make([]bool, len(members)),
 	}
 	sh.batches[batch] = bi
-	sh.border = append(sh.border, batch)
+	sh.border = append(sh.border, bi)
 	for _, id := range members {
 		m.members.Store(id, batch)
 	}
@@ -143,21 +145,40 @@ func (m *Manager) spawnBatchLocked(sh *mshard, batch BatchID, txns []ID, votes [
 	return nil
 }
 
-// joinBatchLocked spawns the participant side of a batch first heard of
-// from the wire, computing this node's vote vector from cfg.Vote. Caller
-// holds the batch shard's lock.
-func (m *Manager) joinBatchLocked(sh *mshard, env BatchEnvelope, coordinator types.ProcID, tick int) error {
-	if len(env.Txns) == 0 {
-		return fmt.Errorf("txn: batch %q frame carries no members", env.Batch)
+// demuxBatchLocked is demuxLocked for a batch frame: it joins the batch
+// on first contact, computing this node's vote vector from cfg.Vote, and
+// drops frames for a retired or halted batch. Caller holds the batch
+// shard's lock.
+func (m *Manager) demuxBatchLocked(sh *mshard, msg types.Message, env BatchEnvelope, tick int) {
+	if sh.retiredBatches[env.Batch] {
+		return
 	}
-	votes := make([]types.Value, len(env.Txns))
-	for i, id := range env.Txns {
-		votes[i] = types.V1
-		if m.cfg.Vote != nil && !m.cfg.Vote(id) {
-			votes[i] = types.V0
+	bi := sh.batches[env.Batch]
+	if bi == nil {
+		if len(env.Txns) == 0 {
+			return // a frame without members cannot be joined
 		}
+		votes := make([]types.Value, len(env.Txns))
+		for i, id := range env.Txns {
+			votes[i] = types.V1
+			if m.cfg.Vote != nil && !m.cfg.Vote(id) {
+				votes[i] = types.V0
+			}
+		}
+		if err := m.spawnBatchLocked(sh, env.Batch, env.Txns, votes, m.joinCoordinator(msg.From), tick); err != nil {
+			return
+		}
+		bi = sh.batches[env.Batch]
 	}
-	return m.spawnBatchLocked(sh, env.Batch, env.Txns, votes, coordinator, tick)
+	if bi.haltedAt >= 0 {
+		return
+	}
+	if m.cfg.Tracer != nil {
+		m.traceGoRecv(bi.key, &bi.goRecv, msg.From, env.Inner, tick)
+	}
+	bi.lastRecvClock = tick
+	msg.Payload = env.Inner
+	bi.inbox = append(bi.inbox, msg)
 }
 
 // traceBatchOutputsLocked mirrors traceOutputsLocked for a batch: the GO
@@ -212,44 +233,34 @@ func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
 	bi.roundStartU = now
 }
 
-// stepBatchesLocked advances every batch on the shard one tick,
+// stepBatchesLocked advances every unhalted batch on the shard one tick,
 // pipelined: batch i+1's machine takes its round-r step in the same
 // manager tick batch i takes round r+1's, so consecutive batches overlap
 // instead of queueing behind one another. Outputs are wrapped in
 // BatchEnvelope frames; member outcomes fan out individually the tick
-// their element decides. Returns the batches due for retirement. Caller
-// holds sh.mu.
-func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome, []BatchID) {
-	var retire []BatchID
-	for _, b := range sh.border {
-		bi := sh.batches[b]
-		if bi.c.Halted() {
-			if bi.haltedAt < 0 {
-				bi.haltedAt = tick
-			}
-			// Elements can decide on the same tick the machine halts;
-			// the fan-out below must still run once after halt, so fall
-			// through instead of continuing.
-			if m.cfg.RetireAfter > 0 && tick-bi.haltedAt >= m.cfg.RetireAfter {
-				retire = append(retire, b)
-			}
-		} else {
-			sub := bi.c.Step(sh.byBatch[b], rnd)
-			if m.cfg.Tracer != nil {
-				m.traceBatchOutputsLocked(bi, sub, tick)
-				if ag := bi.c.Agreement(); ag != nil {
-					if st := ag.Stage(); st != bi.lastStage {
-						bi.lastStage = st
-						m.trace(bi.key, obs.EventStage, tick, "stage="+strconv.Itoa(st))
-					}
+// their element decides. A batch that halts joins the shard's batch halt
+// queue; one past MaxAge is abandoned at once. Caller holds sh.mu.
+func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
+	kept := sh.border[:0]
+	for _, bi := range sh.border {
+		sub := bi.c.Step(bi.inbox, rnd)
+		bi.inbox = bi.inbox[:0]
+		if m.cfg.Tracer != nil {
+			m.traceBatchOutputsLocked(bi, sub, tick)
+			if ag := bi.c.Agreement(); ag != nil {
+				if st := ag.Stage(); st != bi.lastStage {
+					bi.lastStage = st
+					m.trace(bi.key, obs.EventStage, tick, "stage="+strconv.Itoa(st))
 				}
 			}
-			for j := range sub {
-				sub[j].Payload = BatchEnvelope{Batch: b, Txns: bi.txns, Inner: sub[j].Payload}
-			}
-			out = append(out, sub...)
 		}
+		for j := range sub {
+			sub[j].Payload = BatchEnvelope{Batch: bi.id, Txns: bi.txns, Inner: sub[j].Payload}
+		}
+		out = append(out, sub...)
 
+		// Elements decide during a step, the halting one included, so one
+		// fan-out pass after each step reports every element exactly once.
 		for i, txn := range bi.txns {
 			if bi.reportedElems[i] {
 				continue
@@ -269,7 +280,7 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 				m.cfg.Spans.Add(span.Span{
 					Txn: string(txn), Track: span.ProcTrack(int(m.cfg.ID)),
 					Name: "decided", Kind: span.KindStage, Start: now, End: now,
-					From: -1, To: -1, Detail: "decision=" + d.String() + " batch=" + string(b),
+					From: -1, To: -1, Detail: "decision=" + d.String() + " batch=" + string(bi.id),
 				})
 			}
 			o := Outcome{Txn: txn, Decision: d}
@@ -285,50 +296,43 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 			}
 		}
 		m.spanBatchRoundLocked(bi, tick, false)
-		if m.cfg.MaxAge > 0 && tick-bi.born >= m.cfg.MaxAge && !bi.c.Halted() {
-			retire = append(retire, b)
+		switch {
+		case bi.c.Halted():
+			bi.haltedAt = tick
+			bi.inbox = nil
+			sh.bhalted = append(sh.bhalted, bi)
+		case m.cfg.MaxAge > 0 && tick-bi.born >= m.cfg.MaxAge:
+			m.retireBatchLocked(sh, bi, tick)
+		default:
+			kept = append(kept, bi)
 		}
 	}
-	return out, decidedNow, retire
+	clear(sh.border[len(kept):])
+	sh.border = kept
+	return out, decidedNow
 }
 
-// retireBatchesLocked removes finished (or abandoned) batches, leaving a
+// retireBatchLocked removes a finished (or abandoned) batch, leaving a
 // per-member decision tombstone on the batch's shard — DecisionOf and
-// Watch keep answering through the members index. Caller holds sh.mu.
-func (m *Manager) retireBatchesLocked(sh *mshard, tick int, ids []BatchID) {
-	if len(ids) == 0 {
-		return
-	}
-	for _, b := range ids {
-		bi := sh.batches[b]
-		if bi == nil {
-			continue
-		}
-		for i, txn := range bi.txns {
-			d, decided := bi.c.OutcomeAt(i)
-			if decided {
-				m.met.retired.Inc()
-				if m.cfg.Tracer != nil {
-					m.trace(string(txn), obs.EventRetired, tick, "")
-				}
-			} else {
-				d = types.DecisionNone
-				m.met.abandoned.Inc()
-				if m.cfg.Tracer != nil {
-					m.trace(string(txn), obs.EventAbandoned, tick, "")
-				}
+// Watch keep answering through the members index. Caller holds sh.mu and
+// removes bi from whichever list held it.
+func (m *Manager) retireBatchLocked(sh *mshard, bi *binstance, tick int) {
+	for i, txn := range bi.txns {
+		d, decided := bi.c.OutcomeAt(i)
+		if decided {
+			m.met.retired.Inc()
+			if m.cfg.Tracer != nil {
+				m.trace(string(txn), obs.EventRetired, tick, "")
 			}
-			sh.retired[txn] = d
+		} else {
+			d = types.DecisionNone
+			m.met.abandoned.Inc()
+			if m.cfg.Tracer != nil {
+				m.trace(string(txn), obs.EventAbandoned, tick, "")
+			}
 		}
-		sh.retiredBatches[b] = true
-		delete(sh.batches, b)
-		delete(sh.byBatch, b)
+		sh.retired[txn] = d
 	}
-	kept := sh.border[:0]
-	for _, b := range sh.border {
-		if _, ok := sh.batches[b]; ok {
-			kept = append(kept, b)
-		}
-	}
-	sh.border = kept
+	sh.retiredBatches[bi.id] = true
+	delete(sh.batches, bi.id)
 }

@@ -8,7 +8,7 @@
 // envelope-wrapped protocol messages to per-transaction Protocol 2
 // machines, creating participant instances on demand (the first envelope
 // for an unknown transaction reaches the node's VoteFunc to obtain its
-// vote) and advancing every active instance one step per Manager step.
+// vote) and advancing every unhalted instance one step per Manager step.
 // Any node may coordinate a transaction (the paper fixes processor 0
 // without loss of generality; core.Config.Coordinator generalizes it).
 //
@@ -29,10 +29,15 @@
 //     hashes to instead of one global lock. No code path ever holds two
 //     shard locks at once.
 //
-// Long-lived deployments (internal/service) configure RetireAfter so a
-// decided instance is eventually removed from the step loop, leaving only
-// a tombstone with its decision; per-step cost then tracks the number of
-// *active* transactions, not every transaction the node has ever seen.
+// A manager step costs O(messages received + unhalted instances +
+// retirements). Each instance keeps its own inbox; an instance that halts
+// leaves the step loop at once for a per-shard FIFO halt queue, and
+// long-lived deployments (internal/service) configure RetireAfter so the
+// queue's head is retired to a tombstone holding its decision. Every step
+// sends at most one message per peer: its envelopes are grouped by
+// destination into a Bundle, in send order, and a received Bundle is
+// unbundled before routing.
+//
 // Completion is observable without polling via OnOutcome (a callback
 // invoked from the stepping goroutine) or Watch (a per-transaction
 // channel).
@@ -75,6 +80,28 @@ func (e Envelope) TxnID() string { return string(e.Txn) }
 
 // SizeBits implements types.Sized: inner payload + a 64-bit id hash.
 func (e Envelope) SizeBits() int { return types.SizeOf(e.Inner) + 64 }
+
+// Bundle carries everything one manager step sends to one peer: its
+// Envelope and BatchEnvelope items, in send order. This is the paper's
+// event (p, M, f) read from the sender's side — a step's output to a peer
+// travels as one message, so the transport pays one channel operation or
+// frame per peer per tick instead of one per envelope. Items is shared
+// with the receiver and never reused by the sender.
+type Bundle struct {
+	Items []types.Payload
+}
+
+// Kind implements types.Payload.
+func (b Bundle) Kind() string { return "txn.bundle" }
+
+// SizeBits implements types.Sized: the sum of the items' sizes.
+func (b Bundle) SizeBits() int {
+	bits := 0
+	for _, it := range b.Items {
+		bits += types.SizeOf(it)
+	}
+	return bits
+}
 
 // VoteFunc supplies this node's vote when it first hears about a
 // transaction it did not originate (true = commit).
@@ -170,13 +197,16 @@ func newMMetrics(reg *obs.Registry, node string) mmetrics {
 	}
 }
 
-// instance tracks one commit machine plus the lifecycle metadata the
-// retirement policy needs and the tracer's edge-detection state (each
-// protocol milestone is recorded once per instance).
+// instance tracks one commit machine plus its inbox, the lifecycle
+// metadata the retirement policy needs and the tracer's edge-detection
+// state (each protocol milestone is recorded once per instance).
 type instance struct {
+	id       ID
 	c        *core.Commit
-	born     int // manager clock at spawn
-	haltedAt int // manager clock when first seen halted; -1 while running
+	inbox    []types.Message // unwrapped envelopes for the next step
+	born     int             // manager clock at spawn
+	haltedAt int             // manager clock of the step it halted in; -1 while running
+	reported bool            // outcome fanned out to Outcomes/watchers
 
 	goRecv    bool // explicit GO received (traced)
 	goSent    bool // GO broadcast/relayed (traced)
@@ -191,18 +221,22 @@ type instance struct {
 }
 
 // mshard is one independently locked slice of a Manager's state. The
-// stepping goroutine is the only writer of the scratch fields (byTxn,
-// byBatch, recv); mu guards everything else against concurrent client
-// calls (Begin, Watch, DecisionOf, gauges).
+// stepping goroutine is the only user of recv; mu guards everything else
+// against concurrent client calls (Begin, Watch, DecisionOf, gauges).
+//
+// Every held instance is in exactly one of two lists: order (unhalted, in
+// spawn order — the deterministic step order simulation replay relies
+// on) or halted (a FIFO queue in halt order). Instances halt in tick
+// order, so the queue's head is always the next one due for retirement.
 type mshard struct {
 	mu        sync.Mutex
-	instances map[ID]*instance
-	// order keeps deterministic iteration for simulation replay.
-	order    []ID
-	batches  map[BatchID]*binstance
-	border   []BatchID
-	pending  []Outcome
-	reported map[ID]bool
+	instances map[ID]*instance // every held instance, halted or not
+	order     []*instance
+	halted    []*instance
+	batches   map[BatchID]*binstance
+	border    []*binstance
+	bhalted   []*binstance
+	pending   []Outcome
 	// retired maps finished-and-removed transactions to their decision
 	// (DecisionNone for abandoned undecided instances). Batch members
 	// are tombstoned on the batch's shard.
@@ -213,22 +247,23 @@ type mshard struct {
 
 	// Scratch owned by the stepping goroutine; never touched by client
 	// calls, so it carries no lock.
-	recv    []types.Message
-	byTxn   map[ID][]types.Message
-	byBatch map[BatchID][]types.Message
+	recv []types.Message
 }
 
 func newMshard() *mshard {
 	return &mshard{
 		instances:      make(map[ID]*instance),
 		batches:        make(map[BatchID]*binstance),
-		reported:       make(map[ID]bool),
 		retired:        make(map[ID]types.Decision),
 		retiredBatches: make(map[BatchID]bool),
 		watchers:       make(map[ID][]chan Outcome),
-		byTxn:          make(map[ID][]types.Message),
-		byBatch:        make(map[BatchID][]types.Message),
 	}
+}
+
+// held reports how many instances the shard holds, halted ones included;
+// a batch counts as one. Caller holds sh.mu.
+func (sh *mshard) held() int {
+	return len(sh.order) + len(sh.halted) + len(sh.border) + len(sh.bhalted)
 }
 
 // Manager runs all of one node's commit instances.
@@ -247,7 +282,9 @@ type Manager struct {
 	members sync.Map // ID -> BatchID
 
 	// Step scratch, owned by the stepping goroutine.
-	out        []types.Message
+	out        []types.Message // wrapped envelopes, in send order
+	bundles    []types.Message // out grouped into one Bundle per peer
+	perPeer    []int           // envelopes per destination, then bundle ends
 	decidedNow []Outcome
 }
 
@@ -287,10 +324,11 @@ func NewManager(cfg Config) (*Manager, error) {
 		node = cfg.Shard + "/" + node
 	}
 	m := &Manager{
-		cfg:    cfg,
-		met:    newMMetrics(cfg.Registry, node),
-		node:   node,
-		shards: make([]*mshard, cfg.InboxShards),
+		cfg:     cfg,
+		met:     newMMetrics(cfg.Registry, node),
+		node:    node,
+		shards:  make([]*mshard, cfg.InboxShards),
+		perPeer: make([]int, cfg.N),
 	}
 	for i := range m.shards {
 		m.shards[i] = newMshard()
@@ -340,11 +378,12 @@ func (m *Manager) spawnLocked(sh *mshard, txn ID, coordinator types.ProcID, vote
 		return err
 	}
 	now := m.clockNow()
-	sh.instances[txn] = &instance{
-		c: inst, born: now, haltedAt: -1,
+	in := &instance{
+		id: txn, c: inst, born: now, haltedAt: -1,
 		round: 1, roundStartClock: now, roundStartU: m.cfg.Spans.Now(),
 	}
-	sh.order = append(sh.order, txn)
+	sh.instances[txn] = in
+	sh.order = append(sh.order, in)
 	m.spawned.Add(1)
 	m.met.started.Inc()
 	return nil
@@ -358,16 +397,16 @@ func (m *Manager) trace(key string, t obs.EventType, tick int, detail string) {
 	})
 }
 
-// traceReceivedLocked records the first explicit GO receipt for txn.
-func (m *Manager) traceReceivedLocked(sh *mshard, txn ID, from types.ProcID, payload types.Payload, tick int) {
-	inst := sh.instances[txn]
-	if inst == nil || inst.goRecv {
+// traceGoRecv records the first explicit GO receipt under key, using
+// seen as the once-per-instance edge detector.
+func (m *Manager) traceGoRecv(key string, seen *bool, from types.ProcID, payload types.Payload, tick int) {
+	if *seen {
 		return
 	}
 	if inner, _ := core.Unwrap(payload); inner != nil {
 		if _, isGo := inner.(core.GoMsg); isGo {
-			inst.goRecv = true
-			m.trace(string(txn), obs.EventGoRecv, tick, "from="+strconv.Itoa(int(from)))
+			*seen = true
+			m.trace(key, obs.EventGoRecv, tick, "from="+strconv.Itoa(int(from)))
 		}
 	}
 }
@@ -449,19 +488,11 @@ func (m *Manager) Halted() bool {
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for _, txn := range sh.order {
-			if !sh.instances[txn].c.Halted() {
-				sh.mu.Unlock()
-				return false
-			}
-		}
-		for _, b := range sh.border {
-			if !sh.batches[b].c.Halted() {
-				sh.mu.Unlock()
-				return false
-			}
-		}
+		live := len(sh.order) + len(sh.border)
 		sh.mu.Unlock()
+		if live > 0 {
+			return false
+		}
 	}
 	return true
 }
@@ -567,7 +598,7 @@ func (m *Manager) Active() int {
 	total := 0
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		total += len(sh.order) + len(sh.border)
+		total += sh.held()
 		sh.mu.Unlock()
 	}
 	return total
@@ -579,9 +610,15 @@ func (m *Manager) Transactions() []ID {
 	var out []ID
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		out = append(out, sh.order...)
-		for _, b := range sh.border {
-			out = append(out, sh.batches[b].txns...)
+		for _, list := range [][]*instance{sh.order, sh.halted} {
+			for _, inst := range list {
+				out = append(out, inst.id)
+			}
+		}
+		for _, list := range [][]*binstance{sh.border, sh.bhalted} {
+			for _, bi := range list {
+				out = append(out, bi.txns...)
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -589,26 +626,25 @@ func (m *Manager) Transactions() []ID {
 	return out
 }
 
-// Step implements types.Machine: demultiplex by shard, spawn
-// participants for new transactions and batches, advance every instance
-// one tick, wrap outputs, retire finished instances, and notify
-// completion observers. Shards are visited in index order under their
-// own locks; watcher firing and OnOutcome callbacks run after every
-// lock is released.
+// Step implements types.Machine: unbundle and demultiplex by shard, spawn
+// participants for new transactions and batches, advance every unhalted
+// instance one tick, retire the halt queue's due head, and bundle the
+// wrapped outputs one message per peer. Shards are visited in index
+// order under their own locks; watcher firing and OnOutcome callbacks
+// run after every lock is released.
 func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message {
 	tick := int(m.clock.Add(1))
 
 	// Route received envelopes to their shard's scratch inbox. Only the
 	// stepping goroutine touches recv, so no locks yet.
 	for i := range received {
-		switch env := received[i].Payload.(type) {
-		case Envelope:
-			sh := m.shardFor(string(env.Txn))
-			sh.recv = append(sh.recv, received[i])
-		case BatchEnvelope:
-			sh := m.shardFor(string(env.Batch))
-			sh.recv = append(sh.recv, received[i])
+		if b, ok := received[i].Payload.(Bundle); ok {
+			for _, it := range b.Items {
+				m.route(received[i], it)
+			}
+			continue
 		}
+		m.route(received[i], received[i].Payload)
 	}
 
 	out := m.out[:0]
@@ -640,178 +676,225 @@ func (m *Manager) Step(received []types.Message, rnd types.Rand) []types.Message
 			cb(o)
 		}
 	}
-	return out
+	return m.bundle(out)
+}
+
+// route queues one received envelope on the shard its id hashes to, as a
+// message from the original sender. Anything else — a foreign payload or
+// a bundle nested in a bundle — is ignored.
+func (m *Manager) route(msg types.Message, p types.Payload) {
+	var sh *mshard
+	switch env := p.(type) {
+	case Envelope:
+		sh = m.shardFor(string(env.Txn))
+	case BatchEnvelope:
+		sh = m.shardFor(string(env.Batch))
+	default:
+		return
+	}
+	msg.Payload = p
+	sh.recv = append(sh.recv, msg)
+}
+
+// bundle groups one step's wrapped outputs by destination: one message
+// per peer, peers in id order, each carrying its envelopes in send order.
+// The items array is allocated fresh every step because the bundles it
+// backs travel to other goroutines; only the message slice is scratch.
+func (m *Manager) bundle(out []types.Message) []types.Message {
+	if len(out) == 0 {
+		return out
+	}
+	// Counting sort by destination: perPeer[to] first counts to's
+	// envelopes, then marks the end of its range in items.
+	ends := m.perPeer
+	for i := range out {
+		ends[out[i].To]++
+	}
+	next := 0
+	for to, c := range ends {
+		next += c
+		ends[to] = next - c // range start; advanced to its end below
+	}
+	items := make([]types.Payload, len(out))
+	for i := range out {
+		items[ends[out[i].To]] = out[i].Payload
+		ends[out[i].To]++
+	}
+	bundles := m.bundles[:0]
+	start := 0
+	for to, end := range ends {
+		if end > start {
+			bundles = append(bundles, types.Message{
+				From: m.cfg.ID, To: types.ProcID(to),
+				Payload: Bundle{Items: items[start:end:end]},
+			})
+		}
+		start = end
+		ends[to] = 0
+	}
+	m.bundles = bundles
+	return bundles
 }
 
 // stepShardLocked advances one shard one tick: demux its inbox, spawn
-// joins, step singles then batches, retire, and collect outputs and
-// newly decided outcomes. Caller holds sh.mu.
+// joins, step unhalted singles then batches, retire the halt queue's due
+// head, and collect outputs and newly decided outcomes. Caller holds
+// sh.mu.
 func (m *Manager) stepShardLocked(sh *mshard, tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
-	// Demultiplex this shard's inbox into per-instance slices.
 	for i := range sh.recv {
 		switch env := sh.recv[i].Payload.(type) {
 		case Envelope:
-			if _, done := sh.retired[env.Txn]; done {
-				// Straggler for a finished transaction: the tombstone
-				// answers queries; respawning could contradict the
-				// recorded decision.
-				continue
-			}
-			if _, known := sh.instances[env.Txn]; !known {
-				// First contact with this transaction: join as a
-				// participant. Only the coordinator's GO names it, but any
-				// protocol message carries the piggybacked GO, so the vote
-				// is computable now.
-				vote := true
-				if m.cfg.Vote != nil {
-					vote = m.cfg.Vote(env.Txn)
-				}
-				// The coordinator is unknown at join time and irrelevant
-				// for a participant: the instance never enters the
-				// coordinator branch unless Coordinator == own id, so
-				// point it at the sender's id when it differs from ours,
-				// else the next processor.
-				coord := sh.recv[i].From
-				if coord == m.cfg.ID {
-					coord = types.ProcID((int(m.cfg.ID) + 1) % m.cfg.N)
-				}
-				if err := m.spawnLocked(sh, env.Txn, coord, vote); err != nil {
-					continue
-				}
-			}
-			if m.cfg.Tracer != nil {
-				m.traceReceivedLocked(sh, env.Txn, sh.recv[i].From, env.Inner, tick)
-			}
-			if inst := sh.instances[env.Txn]; inst != nil {
-				inst.lastRecvClock = tick
-			}
-			inner := sh.recv[i]
-			inner.Payload = env.Inner
-			sh.byTxn[env.Txn] = append(sh.byTxn[env.Txn], inner)
+			m.demuxLocked(sh, sh.recv[i], env, tick)
 		case BatchEnvelope:
-			if sh.retiredBatches[env.Batch] {
-				continue
-			}
-			if _, known := sh.batches[env.Batch]; !known {
-				coord := sh.recv[i].From
-				if coord == m.cfg.ID {
-					coord = types.ProcID((int(m.cfg.ID) + 1) % m.cfg.N)
-				}
-				if err := m.joinBatchLocked(sh, env, coord, tick); err != nil {
-					continue
-				}
-			}
-			bi := sh.batches[env.Batch]
-			if bi != nil {
-				bi.lastRecvClock = tick
-				if m.cfg.Tracer != nil && !bi.goRecv {
-					if inner, _ := core.Unwrap(env.Inner); inner != nil {
-						if _, isGo := inner.(core.GoMsg); isGo {
-							bi.goRecv = true
-							m.trace(bi.key, obs.EventGoRecv, tick, "from="+strconv.Itoa(int(sh.recv[i].From)))
-						}
-					}
-				}
-			}
-			inner := sh.recv[i]
-			inner.Payload = env.Inner
-			sh.byBatch[env.Batch] = append(sh.byBatch[env.Batch], inner)
+			m.demuxBatchLocked(sh, sh.recv[i], env, tick)
 		}
 	}
 	sh.recv = sh.recv[:0]
 
-	var retire []ID
-	var retireBatches []BatchID
-	for _, txn := range sh.order {
-		inst := sh.instances[txn]
-		if inst.c.Halted() {
-			if inst.haltedAt < 0 {
-				inst.haltedAt = tick
-			}
-			if m.cfg.RetireAfter > 0 && tick-inst.haltedAt >= m.cfg.RetireAfter {
-				retire = append(retire, txn)
-			}
-			continue
-		}
-		sub := inst.c.Step(sh.byTxn[txn], rnd)
+	kept := sh.order[:0]
+	for _, inst := range sh.order {
+		sub := inst.c.Step(inst.inbox, rnd)
+		inst.inbox = inst.inbox[:0]
 		if m.cfg.Tracer != nil {
-			m.traceOutputsLocked(txn, inst, sub, tick)
+			m.traceOutputsLocked(inst.id, inst, sub, tick)
 			if ag := inst.c.Agreement(); ag != nil {
 				if st := ag.Stage(); st != inst.lastStage {
 					inst.lastStage = st
-					m.trace(string(txn), obs.EventStage, tick, "stage="+strconv.Itoa(st))
+					m.trace(string(inst.id), obs.EventStage, tick, "stage="+strconv.Itoa(st))
 				}
 			}
 		}
 		for j := range sub {
-			sub[j].Payload = Envelope{Txn: txn, Inner: sub[j].Payload}
+			sub[j].Payload = Envelope{Txn: inst.id, Inner: sub[j].Payload}
 		}
 		out = append(out, sub...)
-		if d, ok := inst.c.Outcome(); ok && !sh.reported[txn] {
-			sh.reported[txn] = true
-			m.met.decided.With(m.node, d.String()).Inc()
-			m.met.rounds.Observe(float64(tick - inst.born))
-			if m.cfg.Tracer != nil {
-				m.trace(string(txn), obs.EventDecided, tick, "decision="+d.String())
-			}
-			if m.cfg.Spans != nil && !inst.spanDone {
-				m.spanRoundLocked(txn, inst, tick, true)
-				now := m.cfg.Spans.Now()
-				m.cfg.Spans.Add(span.Span{
-					Txn: string(txn), Track: span.ProcTrack(int(m.cfg.ID)),
-					Name: "decided", Kind: span.KindStage, Start: now, End: now,
-					From: -1, To: -1, Detail: "decision=" + d.String(),
-				})
-				inst.spanDone = true
-			}
-			o := Outcome{Txn: txn, Decision: d}
-			sh.pending = append(sh.pending, o)
-			decidedNow = append(decidedNow, o)
+		d, decided := inst.c.Outcome()
+		if decided && !inst.reported {
+			inst.reported = true
+			decidedNow = m.reportLocked(sh, inst, d, tick, decidedNow)
 		}
-		m.spanRoundLocked(txn, inst, tick, false)
-		if m.cfg.MaxAge > 0 && tick-inst.born >= m.cfg.MaxAge && !inst.c.Halted() {
-			if _, decided := inst.c.Outcome(); !decided {
-				retire = append(retire, txn)
-			}
+		m.spanRoundLocked(inst.id, inst, tick, false)
+		switch {
+		case inst.c.Halted():
+			inst.haltedAt = tick
+			inst.inbox = nil
+			sh.halted = append(sh.halted, inst)
+		case !decided && m.cfg.MaxAge > 0 && tick-inst.born >= m.cfg.MaxAge:
+			m.retireLocked(sh, inst, tick)
+		default:
+			kept = append(kept, inst)
 		}
 	}
-	out, decidedNow, retireBatches = m.stepBatchesLocked(sh, tick, rnd, out, decidedNow)
+	clear(sh.order[len(kept):])
+	sh.order = kept
+	out, decidedNow = m.stepBatchesLocked(sh, tick, rnd, out, decidedNow)
 
-	for _, txn := range retire {
-		d, decided := sh.instances[txn].c.Outcome()
-		if decided {
-			m.met.retired.Inc()
-			if m.cfg.Tracer != nil {
-				m.trace(string(txn), obs.EventRetired, tick, "")
-			}
-		} else {
-			m.met.abandoned.Inc()
-			if m.cfg.Tracer != nil {
-				m.trace(string(txn), obs.EventAbandoned, tick, "")
-			}
-		}
-		sh.retired[txn] = d
-		delete(sh.instances, txn)
-		delete(sh.reported, txn)
-		delete(sh.byTxn, txn)
+	for len(sh.halted) > 0 && m.due(sh.halted[0].haltedAt, tick) {
+		m.retireLocked(sh, sh.halted[0], tick)
+		sh.halted[0] = nil
+		sh.halted = sh.halted[1:]
 	}
-	if len(retire) > 0 {
-		kept := sh.order[:0]
-		for _, txn := range sh.order {
-			if _, ok := sh.instances[txn]; ok {
-				kept = append(kept, txn)
-			}
-		}
-		sh.order = kept
-	}
-	m.retireBatchesLocked(sh, tick, retireBatches)
-
-	// Consume per-instance inboxes (slices are reused next step).
-	for txn := range sh.byTxn {
-		sh.byTxn[txn] = sh.byTxn[txn][:0]
-	}
-	for b := range sh.byBatch {
-		sh.byBatch[b] = sh.byBatch[b][:0]
+	for len(sh.bhalted) > 0 && m.due(sh.bhalted[0].haltedAt, tick) {
+		m.retireBatchLocked(sh, sh.bhalted[0], tick)
+		sh.bhalted[0] = nil
+		sh.bhalted = sh.bhalted[1:]
 	}
 	return out, decidedNow
+}
+
+// due reports whether an instance that halted at haltedAt is due for
+// retirement at tick.
+func (m *Manager) due(haltedAt, tick int) bool {
+	return m.cfg.RetireAfter > 0 && tick-haltedAt >= m.cfg.RetireAfter
+}
+
+// demuxLocked routes one received envelope into its instance's inbox,
+// joining the transaction as a participant on first contact. Envelopes
+// for a retired or halted instance are dropped: the tombstone (or the
+// halted machine's recorded outcome) answers queries, a halted machine
+// ignores input, and respawning could contradict the recorded decision.
+// Caller holds sh.mu.
+func (m *Manager) demuxLocked(sh *mshard, msg types.Message, env Envelope, tick int) {
+	if _, done := sh.retired[env.Txn]; done {
+		return
+	}
+	inst := sh.instances[env.Txn]
+	if inst == nil {
+		// First contact with this transaction: join as a participant.
+		// Only the coordinator's GO names it, but any protocol message
+		// carries the piggybacked GO, so the vote is computable now.
+		vote := true
+		if m.cfg.Vote != nil {
+			vote = m.cfg.Vote(env.Txn)
+		}
+		if err := m.spawnLocked(sh, env.Txn, m.joinCoordinator(msg.From), vote); err != nil {
+			return
+		}
+		inst = sh.instances[env.Txn]
+	}
+	if inst.haltedAt >= 0 {
+		return
+	}
+	if m.cfg.Tracer != nil {
+		m.traceGoRecv(string(env.Txn), &inst.goRecv, msg.From, env.Inner, tick)
+	}
+	inst.lastRecvClock = tick
+	msg.Payload = env.Inner
+	inst.inbox = append(inst.inbox, msg)
+}
+
+// joinCoordinator names the coordinator for an instance joined from the
+// wire. The real coordinator is unknown at join time and irrelevant for a
+// participant: the instance never enters the coordinator branch unless
+// Coordinator == own id, so point it at the sender when that differs
+// from us, else at the next processor.
+func (m *Manager) joinCoordinator(from types.ProcID) types.ProcID {
+	if from == m.cfg.ID {
+		return types.ProcID((int(m.cfg.ID) + 1) % m.cfg.N)
+	}
+	return from
+}
+
+// reportLocked records a single instance's decision: metrics, trace,
+// the closing round and decided spans, and the outcome queues. Caller
+// holds sh.mu.
+func (m *Manager) reportLocked(sh *mshard, inst *instance, d types.Decision, tick int, decidedNow []Outcome) []Outcome {
+	m.met.decided.With(m.node, d.String()).Inc()
+	m.met.rounds.Observe(float64(tick - inst.born))
+	if m.cfg.Tracer != nil {
+		m.trace(string(inst.id), obs.EventDecided, tick, "decision="+d.String())
+	}
+	if m.cfg.Spans != nil && !inst.spanDone {
+		m.spanRoundLocked(inst.id, inst, tick, true)
+		now := m.cfg.Spans.Now()
+		m.cfg.Spans.Add(span.Span{
+			Txn: string(inst.id), Track: span.ProcTrack(int(m.cfg.ID)),
+			Name: "decided", Kind: span.KindStage, Start: now, End: now,
+			From: -1, To: -1, Detail: "decision=" + d.String(),
+		})
+		inst.spanDone = true
+	}
+	o := Outcome{Txn: inst.id, Decision: d}
+	sh.pending = append(sh.pending, o)
+	return append(decidedNow, o)
+}
+
+// retireLocked replaces a single instance with its decision tombstone
+// (DecisionNone if it is abandoned undecided). Caller holds sh.mu and
+// removes inst from whichever list held it.
+func (m *Manager) retireLocked(sh *mshard, inst *instance, tick int) {
+	d, decided := inst.c.Outcome()
+	if decided {
+		m.met.retired.Inc()
+		if m.cfg.Tracer != nil {
+			m.trace(string(inst.id), obs.EventRetired, tick, "")
+		}
+	} else {
+		m.met.abandoned.Inc()
+		if m.cfg.Tracer != nil {
+			m.trace(string(inst.id), obs.EventAbandoned, tick, "")
+		}
+	}
+	sh.retired[inst.id] = d
+	delete(sh.instances, inst.id)
 }

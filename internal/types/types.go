@@ -135,6 +135,9 @@ type Machine interface {
 
 	// Step applies one event. received may be empty (a processor may take
 	// a step with no message deliveries, which is how timeouts advance).
+	// received is the caller's scratch, reused for the next event: Step
+	// must not retain the slice (copying Message values or keeping the
+	// immutable payloads they point to is fine).
 	// The returned messages must have From set to the machine's own ID.
 	// The returned slice is scratch that the machine may overwrite on its
 	// next Step: callers must consume (copy or send) it before stepping

@@ -147,3 +147,22 @@ func BenchmarkWALSegmentedReplay(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkDecisionSnapshotEncode measures the decision journal's
+// snapshot encoder at 64k live entries. It runs on the group-commit
+// writer, so its cost is a stall for every append queued behind it.
+func BenchmarkDecisionSnapshotEncode(b *testing.B) {
+	m := make(map[string]types.Decision, 1<<16)
+	for i := 0; i < 1<<16; i++ {
+		d := types.DecisionCommit
+		if i%10 == 0 {
+			d = types.DecisionAbort
+		}
+		m[fmt.Sprintf("txn-%d", i)] = d
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.SetBytes(int64(len(wal.EncodeDecisionSnapshot(m))))
+	}
+}

@@ -85,14 +85,13 @@ func (c *decisionCodec) EncodeSnapshot() []byte {
 	for _, id := range ids {
 		size += 3 + len(id)
 	}
-	out := make([]byte, 4, size)
-	binary.LittleEndian.PutUint32(out, uint32(len(ids)))
+	// Entries are appended in place: this runs on the group-commit
+	// writer, so every allocation here delays the acks queued behind it.
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(ids)))
 	for _, id := range ids {
-		entry := make([]byte, 3+len(id))
-		entry[0] = byte(c.m[id])
-		binary.LittleEndian.PutUint16(entry[1:3], uint16(len(id)))
-		copy(entry[3:], id)
-		out = append(out, entry...)
+		out = append(out, byte(c.m[id]))
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(id)))
+		out = append(out, id...)
 	}
 	return out
 }

@@ -125,6 +125,25 @@ func TestSegmentedRotation(t *testing.T) {
 // replayed at open is bounded by the snapshot cadence — independent of how
 // many records the log has ever carried — and compaction actually deletes
 // the covered segments.
+// TestDecisionSnapshotGolden pins the decision snapshot's bytes:
+// [u32 count] then, sorted by id, [u8 decision][u16 len][id] per entry.
+func TestDecisionSnapshotGolden(t *testing.T) {
+	got := wal.EncodeDecisionSnapshot(map[string]types.Decision{
+		"tx-b": types.DecisionCommit, "a": types.DecisionAbort,
+	})
+	want := []byte{
+		2, 0, 0, 0,
+		byte(types.DecisionAbort), 1, 0, 'a',
+		byte(types.DecisionCommit), 4, 0, 't', 'x', '-', 'b',
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot bytes:\ngot  %v\nwant %v", got, want)
+	}
+	if got := wal.EncodeDecisionSnapshot(nil); !bytes.Equal(got, []byte{0, 0, 0, 0}) {
+		t.Fatalf("empty snapshot = %v", got)
+	}
+}
+
 func TestSnapshotBoundsReplay(t *testing.T) {
 	const every = 16
 	run := func(txns int) (replayed int, st wal.SegStats, files int) {
