@@ -4,7 +4,7 @@
 // outcomes.
 //
 //	commitd -addr 127.0.0.1:8080 -n 5
-//	commitd -addr 127.0.0.1:8080 -n 3 -shards 4 -cross-wal cross.wal
+//	commitd -addr 127.0.0.1:8080 -n 3 -shards 4 -cross-wal state/cross
 //
 //	POST /commit        {"id":"t1","votes":[true,true,false,true,true]}
 //	                    sharded: {"id":"t1","keys":["user:7","user:9"]}
@@ -97,7 +97,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		timeout   = fs.Duration("timeout", 10*time.Second, "default per-request deadline")
 		backend   = fs.String("backend", "channel", "cluster transport: channel or tcp")
 		shards    = fs.Int("shards", 1, "independent commit groups behind the consistent-hash router")
-		crossWAL  = fs.String("cross-wal", "", "cross-shard coordinator WAL path (sharded mode; replayed on start); a directory path selects the segmented backend")
+		crossWAL  = fs.String("cross-wal", "", "cross-shard coordinator WAL directory (sharded mode; replayed on start)")
 		batchAg   = fs.Bool("batch-agreement", false, "decide each dispatch batch with one vector-outcome agreement instance")
 		walDir    = fs.String("wal-dir", "", "segmented decision-journal directory (single-shard mode; replayed on start, client acks wait for group-commit fsync)")
 		walSeg    = fs.Int("wal-segment-bytes", 1<<20, "WAL segment rotation threshold in bytes")
@@ -231,8 +231,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		var log *shard.CrossLog
 		var logClose func() error
 		var replayed []shard.CrossRecord
-		switch {
-		case *crossWAL != "" && wal.SegmentedPath(*crossWAL):
+		if *crossWAL != "" {
 			sl, recs, err := shard.OpenCrossSegmented(*crossWAL, wal.SegmentedOptions{
 				SegmentBytes:  *walSeg,
 				GroupCommit:   *walGroup,
@@ -240,23 +239,11 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 				Registry:      reg,
 			})
 			if err != nil {
-				return fmt.Errorf("opening segmented cross WAL: %w", err)
+				return fmt.Errorf("opening cross WAL: %w", err)
 			}
 			replayed = recs
 			log = sl.CrossLog
 			logClose = sl.Close
-		case *crossWAL != "":
-			recs, err := shard.ReplayCrossFile(*crossWAL)
-			if err != nil {
-				return fmt.Errorf("replaying cross WAL: %w", err)
-			}
-			replayed = recs
-			fl, err := shard.OpenCrossFile(*crossWAL)
-			if err != nil {
-				return err
-			}
-			log = fl.CrossLog
-			logClose = fl.Close
 		}
 		coord, err := shard.New(shard.Config{Shards: *shards, Group: cfg, Log: log})
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -133,7 +135,7 @@ func TestDaemonBadFlags(t *testing.T) {
 
 func TestDaemonSharded(t *testing.T) {
 	dir := t.TempDir()
-	walPath := dir + "/cross.wal"
+	walPath := filepath.Join(dir, "cross")
 	base, stop := startDaemon(t, "-shards", "3", "-tick", "500us", "-cross-wal", walPath)
 
 	resp, err := http.Get(base + "/healthz")
@@ -185,6 +187,25 @@ func TestDaemonSharded(t *testing.T) {
 		t.Fatalf("post-restart commit = %+v", out)
 	}
 	stop2()
+}
+
+// TestDaemonRejectsLegacyCrossWALFile: -cross-wal naming a regular file
+// (a single-file cross log from an older build) must fail at start,
+// naming the path, never start with an empty log: its in-doubt
+// transactions would go unsettled.
+func TestDaemonRejectsLegacyCrossWALFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cross.wal")
+	if err := os.WriteFile(path, []byte("an old cross log"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{"-shards", "2", "-tick", "500us", "-cross-wal", path}, &out, nil)
+	if err == nil {
+		t.Fatal("daemon started on a single-file cross WAL path")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("error %q does not name the cross WAL path", err)
+	}
 }
 
 func TestDaemonShardedBadFlags(t *testing.T) {

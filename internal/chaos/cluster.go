@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -155,7 +154,12 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 	o.defaults(p)
 	n := p.Cfg.N
 
-	bufs := make([]bytes.Buffer, n)
+	logs := make([]*wal.NodeLog, n)
+	defer func() {
+		for _, l := range logs {
+			l.Close() //nolint:errcheck // in-memory journal; replay below reports damage
+		}
+	}()
 	machines := make([]types.Machine, n)
 	for i := 0; i < n; i++ {
 		vote := types.V0
@@ -169,7 +173,12 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("chaos: build machine %d: %w", i, err)
 		}
-		machines[i] = &recovery.Responder{Inner: wal.NewLoggedCommit(cm, wal.New(&bufs[i]))}
+		l, _, _, err := wal.OpenNodeLog(wal.SegmentedOptions{FS: wal.NewMemFS()})
+		if err != nil {
+			return nil, nil, fmt.Errorf("chaos: open journal %d: %w", i, err)
+		}
+		logs[i] = l
+		machines[i] = &recovery.Responder{Inner: wal.NewLoggedCommit(cm, l)}
 	}
 
 	h := &clusterHarness{
@@ -247,8 +256,7 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 				h.setRecovered(ev.Node, 0, false)
 				return
 			}
-			recs, _ := wal.Replay(bytes.NewReader(bufs[ev.Node].Bytes()))
-			st := wal.Reconstruct(recs)
+			st, _ := logs[ev.Node].Drain() //nolint:errcheck // a damaged journal recovers from scratch
 			cl.Restart(pid)
 			if st.Decided {
 				h.setRecovered(ev.Node, st.Decision, true)
@@ -342,11 +350,10 @@ func RunCluster(p *Plan, o RunOptions) (*Report, *ClusterRunData, error) {
 		Vacuous:     vacuous,
 	}
 	for i := 0; i < n; i++ {
-		recs, err := wal.Replay(bytes.NewReader(bufs[i].Bytes()))
+		st, err := logs[i].Drain()
 		if err != nil {
 			return nil, nil, fmt.Errorf("chaos: node %d wal corrupt: %w", i, err)
 		}
-		st := wal.Reconstruct(recs)
 		data.WALDecided[i], data.WALValue[i] = st.Decided, st.Decision
 	}
 	return AuditCluster(p, data), data, runErr

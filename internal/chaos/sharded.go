@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/wal"
 )
 
 // ShardedTxnResult is one sharded submission's terminal answer plus its
@@ -79,11 +79,17 @@ func RunShardedService(p *Plan, o RunOptions) (*Report, *ShardedRunData, error) 
 	o.defaults(p)
 	n := p.Cfg.N
 
-	var walBuf bytes.Buffer // CrossLog serializes appends; buffer writes cannot fail
+	// No snapshots: the audit reads the log's whole history back.
+	walDisk := wal.NewMemFS()
+	crossLog, _, err := shard.OpenCrossSegmented("", wal.SegmentedOptions{FS: walDisk})
+	if err != nil {
+		return nil, nil, fmt.Errorf("chaos: open cross log: %w", err)
+	}
+	defer crossLog.Close() //nolint:errcheck // in-memory; the history read reports damage
 	injectors := make([]*Injector, p.Cfg.Shards)
 	coord, err := shard.New(shard.Config{
 		Shards: p.Cfg.Shards,
-		Log:    shard.NewCrossLog(&walBuf),
+		Log:    crossLog.CrossLog,
 		Group: service.Config{
 			N:              n,
 			T:              p.Cfg.T,
@@ -196,7 +202,11 @@ func RunShardedService(p *Plan, o RunOptions) (*Report, *ShardedRunData, error) 
 		}
 	}
 	metrics := coord.Metrics()
-	records, _ := shard.ReplayCross(bytes.NewReader(walBuf.Bytes())) //nolint:errcheck // in-memory log cannot tear
+	records, err := drainCrossLog(crossLog, walDisk)
+	if err != nil {
+		coord.Close(context.Background()) //nolint:errcheck // already failing
+		return nil, nil, err
+	}
 
 	data := &ShardedRunData{
 		Results:      results,
@@ -241,6 +251,26 @@ func RunShardedService(p *Plan, o RunOptions) (*Report, *ShardedRunData, error) 
 	defer cancel()
 	closeErr := coord.Close(closeCtx)
 	return AuditSharded(p, data), data, closeErr
+}
+
+// drainCrossLog closes the coordinator's cross log — leaving the disk a
+// crashed coordinator would — and reads its whole history back. The
+// recovery echo then runs on the same coordinator, so the log is
+// reopened in place, as a restarted coordinator reopens its directory.
+func drainCrossLog(l *shard.CrossSegLog, disk *wal.MemFS) ([]shard.CrossRecord, error) {
+	if err := l.Close(); err != nil {
+		return nil, fmt.Errorf("chaos: close cross log: %w", err)
+	}
+	records, err := shard.ReadCrossHistory(disk)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: read cross log: %w", err)
+	}
+	reopened, _, err := shard.OpenCrossSegmented("", wal.SegmentedOptions{FS: disk})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: reopen cross log: %w", err)
+	}
+	*l.CrossLog = *reopened.CrossLog
+	return records, nil
 }
 
 // AuditSharded checks a sharded run end to end. On top of the service

@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/types"
+	"repro/internal/wal"
 )
 
 // newCoordinator starts a fast-ticking sharded deployment and registers
@@ -39,6 +39,30 @@ func newCoordinator(t *testing.T, cfg shard.Config) *shard.Coordinator {
 		c.Close(ctx) //nolint:errcheck // teardown
 	})
 	return c
+}
+
+// openCrossLog opens a cross log on disk and registers its close.
+func openCrossLog(t *testing.T, disk wal.FS) (*shard.CrossSegLog, []shard.CrossRecord) {
+	t.Helper()
+	l, recs, err := shard.OpenCrossSegmented("", wal.SegmentedOptions{FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() }) //nolint:errcheck // idempotent teardown
+	return l, recs
+}
+
+// crossHistory drains l by closing it and reads back every record.
+func crossHistory(t *testing.T, l *shard.CrossSegLog, disk wal.FS) []shard.CrossRecord {
+	t.Helper()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := shard.ReadCrossHistory(disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 // crossKeys probes for a key set spanning exactly the given two distinct
@@ -87,9 +111,10 @@ func TestSingleShardFastPath(t *testing.T) {
 }
 
 func TestCrossShardCommit(t *testing.T) {
-	var buf bytes.Buffer
+	disk := wal.NewMemFS()
+	log, _ := openCrossLog(t, disk)
 	c := newCoordinator(t, shard.Config{
-		Shards: 3, Group: service.Config{Seed: 2}, Log: shard.NewCrossLog(&buf),
+		Shards: 3, Group: service.Config{Seed: 2}, Log: log.CrossLog,
 	})
 	keys := crossKeys(t, c, 0, 2)
 	res, err := c.Submit(context.Background(), shard.Request{ID: "pay-1", Keys: keys})
@@ -122,11 +147,7 @@ func TestCrossShardCommit(t *testing.T) {
 	}
 
 	// The WAL tells the whole story: begin, both verdicts, the outcome.
-	recs, err := shard.ReplayCross(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := shard.ReconstructCross(recs)
+	states := shard.ReconstructCross(crossHistory(t, log, disk))
 	cs := states["pay-1"]
 	if cs == nil || cs.InDoubt() || cs.Outcome != types.DecisionCommit {
 		t.Fatalf("reconstructed state = %+v", cs)
@@ -189,18 +210,22 @@ func TestSubmitValidation(t *testing.T) {
 // reached any shard — recovers by proposing abort everywhere: the
 // Gray & Lamport rule that an unprepared participant aborts.
 func TestRecoverUnpreparedAborts(t *testing.T) {
-	var buf bytes.Buffer
-	log := shard.NewCrossLog(&buf)
-	if err := log.Append(shard.CrossRecord{Type: shard.RecBegin, Txn: "lost-1", Shards: []int{0, 1}}); err != nil {
+	disk := wal.NewMemFS()
+	crashed, _ := openCrossLog(t, disk)
+	if err := crashed.Append(shard.CrossRecord{Type: shard.RecBegin, Txn: "lost-1", Shards: []int{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := shard.ReplayCross(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if err := crashed.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The restarted coordinator reopens the log and finds lost-1 in doubt.
+	log, recs := openCrossLog(t, disk)
+	if len(recs) != 1 || recs[0].Txn != "lost-1" {
+		t.Fatalf("reopened log recovered %+v, want lost-1's begin", recs)
 	}
 
 	c := newCoordinator(t, shard.Config{
-		Shards: 2, Group: service.Config{Seed: 5}, Log: log,
+		Shards: 2, Group: service.Config{Seed: 5}, Log: log.CrossLog,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -215,12 +240,8 @@ func TestRecoverUnpreparedAborts(t *testing.T) {
 	if !ok || st.State != service.StateAbort || st.Decision != "ABORT" {
 		t.Fatalf("recovered status = %+v ok=%v", st, ok)
 	}
-	// The recovery wrote the outcome; a second replay agrees.
-	recs2, err := shard.ReplayCross(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := shard.ReconstructCross(recs2)["lost-1"]
+	// The recovery wrote the outcome; the log's history agrees.
+	cs := shard.ReconstructCross(crossHistory(t, log, disk))["lost-1"]
 	if cs == nil || cs.InDoubt() || cs.Outcome != types.DecisionAbort {
 		t.Fatalf("reconstructed = %+v", cs)
 	}
@@ -233,10 +254,9 @@ func TestRecoverUnpreparedAborts(t *testing.T) {
 // true outcome from the shards' absorbing decisions — it must agree
 // with what the first run observed.
 func TestRecoverAgreesWithDecidedChildren(t *testing.T) {
-	var buf bytes.Buffer
-	log := shard.NewCrossLog(&buf)
+	log, _ := openCrossLog(t, wal.NewMemFS())
 	c := newCoordinator(t, shard.Config{
-		Shards: 2, Group: service.Config{Seed: 6}, Log: log,
+		Shards: 2, Group: service.Config{Seed: 6}, Log: log.CrossLog,
 	})
 	keys := crossKeys(t, c, 0, 1)
 	res, err := c.Submit(context.Background(), shard.Request{ID: "done-1", Keys: keys})

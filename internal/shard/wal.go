@@ -5,19 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sort"
-	"sync"
 
 	"repro/internal/types"
 	"repro/internal/wal"
 )
 
-// The cross-shard coordinator's write-ahead log mirrors internal/wal's
-// framing — [u32 payloadLen][u32 crc32(payload)][payload], append-only,
-// torn-tail-tolerant — but logs the commit-of-commits transitions:
+// The cross-shard coordinator's write-ahead log is a wal.SegmentedLog —
+// internal/wal's framing, group commit and snapshots — whose records
+// are the commit-of-commits transitions:
 //
 //	RecBegin    txn + participating shard set (logged before any child
 //	            submission, so a crashed coordinator knows which shards
@@ -73,8 +69,6 @@ type CrossRecord struct {
 // ErrCorruptCross is returned when a cross-log record fails validation.
 var ErrCorruptCross = errors.New("shard: corrupt cross-log record")
 
-const crossHeaderSize = 8
-
 // encodeCrossPayload serializes one record's payload (the bytes under
 // the frame).
 //
@@ -101,19 +95,6 @@ func encodeCrossPayload(r CrossRecord) ([]byte, error) {
 	binary.LittleEndian.PutUint16(payload[off:off+2], uint16(len(r.Txn)))
 	copy(payload[off+2:], r.Txn)
 	return payload, nil
-}
-
-// encodeCross serializes one framed record.
-func encodeCross(r CrossRecord) ([]byte, error) {
-	payload, err := encodeCrossPayload(r)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, crossHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[crossHeaderSize:], payload)
-	return buf, nil
 }
 
 // decodeCrossPayload parses a checksum-verified payload.
@@ -147,132 +128,28 @@ func decodeCrossPayload(payload []byte) (CrossRecord, error) {
 	return r, nil
 }
 
-// CrossLog is an append-only cross-shard coordinator log over either a
-// plain writer (optionally fsynced per outcome) or a segmented
-// group-committed log. Appends are serialized; a CrossLog is safe for
-// concurrent use. A nil *CrossLog is a valid "disabled" log: Append is
-// a no-op.
+// CrossLog is the cross-shard coordinator's log, open on a segmented
+// directory (OpenCrossSegmented). It is safe for concurrent use. A nil
+// *CrossLog is a valid "disabled" log: Append is a no-op.
 type CrossLog struct {
-	mu sync.Mutex
-	w  io.Writer
-	// sync, if non-nil, runs after outcome records (fsync).
-	sync func() error
-	// seg, if non-nil, is the segmented backend; w and sync are unused.
 	seg *wal.SegmentedLog
 }
 
-// NewCrossLog creates a log over w.
-func NewCrossLog(w io.Writer) *CrossLog { return &CrossLog{w: w} }
-
-// Append writes one record, syncing after outcomes when supported. On
-// the segmented backend an outcome append blocks until its covering
-// group-commit fsync succeeds (concurrent outcomes share one flush);
-// non-outcome records ride along asynchronously.
+// Append journals one record. An outcome append blocks until its
+// covering group-commit fsync succeeds (concurrent outcomes share one
+// flush); the other records ride along asynchronously.
 func (l *CrossLog) Append(r CrossRecord) error {
 	if l == nil {
 		return nil
 	}
-	if l.seg != nil {
-		payload, err := encodeCrossPayload(r)
-		if err != nil {
-			return err
-		}
-		if r.Type == RecOutcome {
-			return l.seg.AppendSync(payload)
-		}
-		return l.seg.Append(payload, nil)
-	}
-	buf, err := encodeCross(r)
+	payload, err := encodeCrossPayload(r)
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.w.Write(buf); err != nil {
-		return fmt.Errorf("shard: cross-log append: %w", err)
+	if r.Type == RecOutcome {
+		return l.seg.AppendSync(payload)
 	}
-	if r.Type == RecOutcome && l.sync != nil {
-		if err := l.sync(); err != nil {
-			return fmt.Errorf("shard: cross-log sync: %w", err)
-		}
-	}
-	return nil
-}
-
-// CrossFileLog is a CrossLog backed by an O_APPEND file.
-type CrossFileLog struct {
-	*CrossLog
-	f *os.File
-}
-
-// OpenCrossFile opens (creating if needed) an append-only file log.
-func OpenCrossFile(path string) (*CrossFileLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("shard: open cross log %s: %w", path, err)
-	}
-	l := NewCrossLog(f)
-	l.sync = f.Sync
-	return &CrossFileLog{CrossLog: l, f: f}, nil
-}
-
-// Close syncs and closes the file.
-func (l *CrossFileLog) Close() error {
-	if err := l.f.Sync(); err != nil {
-		l.f.Close() //nolint:errcheck
-		return err
-	}
-	return l.f.Close()
-}
-
-// ReplayCross reads records until EOF. A cleanly truncated tail (torn
-// final record — the crash-during-append case) ends replay without
-// error; a checksum mismatch returns ErrCorruptCross with the records
-// read so far.
-func ReplayCross(r io.Reader) ([]CrossRecord, error) {
-	var out []CrossRecord
-	header := make([]byte, crossHeaderSize)
-	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out, nil // torn header: stop
-			}
-			return out, err
-		}
-		payloadLen := binary.LittleEndian.Uint32(header[0:4])
-		wantCRC := binary.LittleEndian.Uint32(header[4:8])
-		if payloadLen > 1<<20 {
-			return out, fmt.Errorf("%w: implausible payload length %d", ErrCorruptCross, payloadLen)
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out, nil // torn payload: stop
-			}
-			return out, err
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return out, ErrCorruptCross
-		}
-		rec, err := decodeCrossPayload(payload)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
-
-// ReplayCrossFile replays a file log (missing file yields empty state).
-func ReplayCrossFile(path string) ([]CrossRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close() //nolint:errcheck // read-only
-	return ReplayCross(f)
+	return l.seg.Append(payload, nil)
 }
 
 // CrossState is one cross-shard transaction reconstructed from the log.
@@ -290,29 +167,32 @@ type CrossState struct {
 // the state a coordinator crash leaves behind.
 func (s *CrossState) InDoubt() bool { return !s.Decided }
 
+// applyCross folds one record into states, creating the transaction's
+// entry on first sight: the single per-record fold behind both
+// ReconstructCross and the log's own replay.
+func applyCross(states map[string]*CrossState, r CrossRecord) {
+	st, ok := states[r.Txn]
+	if !ok {
+		st = &CrossState{Txn: r.Txn, Verdicts: make(map[int]types.Decision)}
+		states[r.Txn] = st
+	}
+	switch r.Type {
+	case RecBegin:
+		st.Shards = append([]int(nil), r.Shards...)
+	case RecVerdict:
+		st.Verdicts[r.Shard] = r.Decision
+	case RecOutcome:
+		st.Decided, st.Outcome = true, r.Decision
+	}
+}
+
 // ReconstructCross folds records into per-transaction states, in log
 // order. Records for transactions without a RecBegin still accumulate
 // (a torn log may lose the begin but keep later records).
 func ReconstructCross(records []CrossRecord) map[string]*CrossState {
 	out := make(map[string]*CrossState)
-	get := func(txn string) *CrossState {
-		st, ok := out[txn]
-		if !ok {
-			st = &CrossState{Txn: txn, Verdicts: make(map[int]types.Decision)}
-			out[txn] = st
-		}
-		return st
-	}
 	for _, r := range records {
-		st := get(r.Txn)
-		switch r.Type {
-		case RecBegin:
-			st.Shards = append([]int(nil), r.Shards...)
-		case RecVerdict:
-			st.Verdicts[r.Shard] = r.Decision
-		case RecOutcome:
-			st.Decided, st.Outcome = true, r.Decision
-		}
+		applyCross(out, r)
 	}
 	return out
 }
@@ -323,8 +203,8 @@ func ReconstructCross(records []CrossRecord) map[string]*CrossState {
 // from the state — which is what keeps snapshots, and therefore the
 // compacted log, bounded by in-flight work instead of all history.
 //
-// Snapshot payload: a cross-log byte stream (the same framed records)
-// that re-creates every open transaction — Begin then Verdicts, per
+// Snapshot payload: a stream of framed records (wal.Frame) that
+// re-creates every open transaction — Begin then Verdicts, per
 // transaction in sorted id order so identical states encode identically.
 type crossCodec struct {
 	open map[string]*CrossState
@@ -335,72 +215,40 @@ func (c *crossCodec) Apply(payload []byte) error {
 	if err != nil {
 		return err
 	}
+	applyCross(c.open, r)
 	if r.Type == RecOutcome {
 		delete(c.open, r.Txn)
-		return nil
-	}
-	st, ok := c.open[r.Txn]
-	if !ok {
-		st = &CrossState{Txn: r.Txn, Verdicts: make(map[int]types.Decision)}
-		c.open[r.Txn] = st
-	}
-	switch r.Type {
-	case RecBegin:
-		st.Shards = append([]int(nil), r.Shards...)
-	case RecVerdict:
-		st.Verdicts[r.Shard] = r.Decision
 	}
 	return nil
 }
 
 func (c *crossCodec) EncodeSnapshot() []byte {
-	var buf bytes.Buffer
+	var out []byte
 	for _, r := range c.records() {
-		b, err := encodeCross(r)
+		p, err := encodeCrossPayload(r)
 		if err != nil {
 			continue // unencodable states cannot have been appended
 		}
-		buf.Write(b)
+		out = append(out, wal.Frame(p)...)
 	}
-	return buf.Bytes()
+	return out
 }
 
+// RestoreSnapshot is all-or-nothing: the stream must scan to its last
+// byte (a torn or trailing frame rejects the snapshot) before the open
+// set is replaced.
 func (c *crossCodec) RestoreSnapshot(data []byte) error {
-	records, err := ReplayCross(bytes.NewReader(data))
+	open := make(map[string]*CrossState)
+	c2 := &crossCodec{open: open}
+	valid, err := wal.ScanFrames(bytes.NewReader(data), int64(len(data)), c2.Apply)
 	if err != nil {
 		return err
 	}
-	if rem := len(data) - crossStreamLen(records); rem != 0 {
+	if rem := int64(len(data)) - valid; rem != 0 {
 		return fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorruptCross, rem)
-	}
-	open := make(map[string]*CrossState)
-	c2 := &crossCodec{open: open}
-	for _, r := range records {
-		p, err := encodeCrossPayload(r)
-		if err != nil {
-			return err
-		}
-		if err := c2.Apply(p); err != nil {
-			return err
-		}
 	}
 	c.open = open
 	return nil
-}
-
-// crossStreamLen is the encoded byte length of a record stream — used to
-// reject snapshots whose tail failed to parse (ReplayCross tolerates
-// torn tails, but a snapshot is all-or-nothing).
-func crossStreamLen(records []CrossRecord) int {
-	n := 0
-	for _, r := range records {
-		p, err := encodeCrossPayload(r)
-		if err != nil {
-			continue
-		}
-		n += crossHeaderSize + len(p)
-	}
-	return n
 }
 
 // records synthesizes the record stream re-creating the open set.
@@ -426,23 +274,25 @@ func (c *crossCodec) records() []CrossRecord {
 	return out
 }
 
-// CrossSegLog is a CrossLog over a segmented directory.
+// CrossSegLog is an open cross log together with its lifecycle.
 type CrossSegLog struct {
 	*CrossLog
-	seg *wal.SegmentedLog
 }
 
-// OpenCrossSegmented opens (creating if needed) a segmented cross log in
-// dir, replaying snapshot + suffix. The returned records re-create the
+// OpenCrossSegmented opens (creating if needed) the segmented cross log
+// in opts.FS — or, when the caller supplies none, in directory dir —
+// replaying snapshot + suffix. The returned records re-create the
 // recovered state — exactly the still-in-doubt transactions (decided
 // ones are retired during replay) — in a form Coordinator.Recover
-// accepts. opts.FS is derived from dir; opts.Name defaults to "cross".
+// accepts. opts.Name defaults to "cross".
 func OpenCrossSegmented(dir string, opts wal.SegmentedOptions) (*CrossSegLog, []CrossRecord, error) {
-	fs, err := wal.NewDirFS(dir)
-	if err != nil {
-		return nil, nil, err
+	if opts.FS == nil {
+		fs, err := wal.NewDirFS(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		opts.FS = fs
 	}
-	opts.FS = fs
 	if opts.Name == "" {
 		opts.Name = "cross"
 	}
@@ -453,11 +303,29 @@ func OpenCrossSegmented(dir string, opts wal.SegmentedOptions) (*CrossSegLog, []
 	}
 	// codec is stable here: the writer only touches it once appends flow.
 	records := codec.records()
-	return &CrossSegLog{CrossLog: &CrossLog{seg: seg}, seg: seg}, records, nil
+	return &CrossSegLog{CrossLog: &CrossLog{seg: seg}}, records, nil
 }
 
 // Stats exposes the underlying segmented log's counters.
 func (l *CrossSegLog) Stats() wal.SegStats { return l.seg.Stats() }
 
-// Close drains, seals, and closes the segmented log.
+// Close drains, seals, and closes the segmented log: once it returns,
+// every record appended before it is in the segments.
 func (l *CrossSegLog) Close() error { return l.seg.Close() }
+
+// ReadCrossHistory decodes every record still held in a closed cross
+// log's segments, in log order. For a log that never snapshotted, that
+// is its whole history, outcomes included — what an auditor compares
+// against the answers clients saw.
+func ReadCrossHistory(fs wal.FS) ([]CrossRecord, error) {
+	var out []CrossRecord
+	err := wal.ScanSegments(fs, func(payload []byte) error {
+		r, err := decodeCrossPayload(payload)
+		if err != nil {
+			return err
+		}
+		out = append(out, r)
+		return nil
+	})
+	return out, err
+}

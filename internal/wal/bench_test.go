@@ -1,7 +1,6 @@
 package wal_test
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -11,10 +10,14 @@ import (
 	"repro/internal/wal"
 )
 
-// BenchmarkAppend measures journaling throughput to an in-memory sink.
+// BenchmarkAppend measures node-journal appends (handed to the
+// group-commit writer) to an in-memory disk.
 func BenchmarkAppend(b *testing.B) {
-	var buf bytes.Buffer
-	log := wal.New(&buf)
+	fs := wal.NewMemFS()
+	log, _, _, err := wal.OpenNodeLog(wal.SegmentedOptions{FS: fs, SegmentBytes: 1 << 22})
+	if err != nil {
+		b.Fatal(err)
+	}
 	rec := wal.Record{Type: wal.RecordCoins, Coins: make([]types.Value, 32)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -22,13 +25,26 @@ func BenchmarkAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(buf.Len() / max(b.N, 1)))
+	if err := log.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	var written int64 // framed bytes: 8-byte header plus payload
+	if err := wal.ScanSegments(fs, func(p []byte) error { written += int64(8 + len(p)); return nil }); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(written / int64(max(b.N, 1)))
 }
 
-// BenchmarkReplay measures log recovery speed.
+// BenchmarkReplay measures node-journal recovery: open a 1000-record
+// journal and fold it back into protocol state.
 func BenchmarkReplay(b *testing.B) {
-	var buf bytes.Buffer
-	log := wal.New(&buf)
+	fs := wal.NewMemFS()
+	opts := wal.SegmentedOptions{FS: fs, SegmentBytes: 1 << 22}
+	log, _, _, err := wal.OpenNodeLog(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < 1000; i++ {
 		rec := wal.Record{Type: wal.RecordVote, Value: types.Value(i % 2)}
 		if i%10 == 0 {
@@ -38,15 +54,29 @@ func BenchmarkReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	raw := buf.Bytes()
+	if err := log.Close(); err != nil {
+		b.Fatal(err)
+	}
+	size, err := fs.Size("wal-00000001.seg")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		records, err := wal.Replay(bytes.NewReader(raw))
-		if err != nil || len(records) != 1000 {
-			b.Fatalf("replay: %d records, %v", len(records), err)
+		log, _, _, err := wal.OpenNodeLog(opts)
+		if err != nil {
+			b.Fatal(err)
 		}
+		if n := log.Stats().Replay.Records; n != 1000 {
+			b.Fatalf("replayed %d records", n)
+		}
+		b.StopTimer()
+		if err := log.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
-	b.SetBytes(int64(len(raw)))
+	b.SetBytes(size)
 }
 
 func max(a, b int) int {

@@ -2,10 +2,19 @@ package wal
 
 import "repro/internal/types"
 
-// Frame exposes the record framing to package-external tests, so fuzzers
-// and crash tests can build adversarial segment and snapshot files that
-// pass the frame check and exercise the decoders behind it.
-var Frame = frame
+// EncodeRecord and DecodeRecord expose the node journal's payload codec
+// to package-external tests, so they can build segment files record by
+// record and read a journal's segments back.
+var (
+	EncodeRecord = encodePayload
+	DecodeRecord = decodePayload
+)
+
+// EncodeNodeSnapshot runs the node journal's snapshot encoder over st,
+// for the golden test.
+func EncodeNodeSnapshot(st State) []byte {
+	return (&protocolCodec{st: st}).EncodeSnapshot()
+}
 
 // EncodeDecisionSnapshot runs the decision journal's snapshot encoder
 // over m, for the golden test and the encode benchmark.

@@ -13,7 +13,7 @@ import (
 // only if it stops, which is the operator's call.
 type LoggedCommit struct {
 	inner *core.Commit
-	log   RecordAppender
+	log   *NodeLog
 
 	lastVote   types.Value
 	votedOnce  bool
@@ -25,14 +25,8 @@ type LoggedCommit struct {
 
 var _ types.Machine = (*LoggedCommit)(nil)
 
-// RecordAppender journals protocol records: the single-file *Log, or a
-// *NodeLog fronting a segmented directory.
-type RecordAppender interface {
-	Append(Record) error
-}
-
 // NewLoggedCommit wraps m so its transitions are journaled to log.
-func NewLoggedCommit(m *core.Commit, log RecordAppender) *LoggedCommit {
+func NewLoggedCommit(m *core.Commit, log *NodeLog) *LoggedCommit {
 	return &LoggedCommit{inner: m, log: log}
 }
 

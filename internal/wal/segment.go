@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,8 +20,7 @@ import (
 // On-disk layout (all little endian, one directory):
 //
 //	wal-<seq>.seg    segment: a run of [u32 len][u32 crc32(payload)][payload]
-//	                 frames — the same torn-tail-tolerant framing the
-//	                 single-file Log uses
+//	                 frames (Frame/ScanFrames)
 //	snap-<seq>.snap  snapshot: ONE frame holding the owner-encoded state
 //	                 covering every record in segments with seq' < seq;
 //	                 written to snap-<seq>.tmp, fsynced, then renamed, so
@@ -58,51 +54,6 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// frame wraps payload in the [u32 len][u32 crc][payload] record framing.
-func frame(payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	return buf
-}
-
-// scanFrames reads framed payloads from r, calling fn for each. It
-// returns the byte length of the valid prefix: a torn tail (truncated
-// header or payload — the crash-during-append case) stops the scan
-// cleanly, while a checksum or length violation returns ErrCorrupt.
-func scanFrames(r io.Reader, fn func(payload []byte) error) (int64, error) {
-	var off int64
-	header := make([]byte, headerSize)
-	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return off, nil // torn header: stop
-			}
-			return off, err
-		}
-		payloadLen := binary.LittleEndian.Uint32(header[0:4])
-		wantCRC := binary.LittleEndian.Uint32(header[4:8])
-		if payloadLen > 1<<20 {
-			return off, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, payloadLen)
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return off, nil // torn payload: stop
-			}
-			return off, err
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return off, ErrCorrupt
-		}
-		if err := fn(payload); err != nil {
-			return off, err
-		}
-		off += int64(headerSize) + int64(payloadLen)
-	}
-}
-
 // SnapshotCodec is the state the segmented log journals on behalf of its
 // owner. The log's writer goroutine owns the folding: Apply is called
 // once per record — during replay at open, and after each group commit —
@@ -124,7 +75,8 @@ type SnapshotCodec interface {
 // SegmentedOptions parameterizes a segmented log.
 type SegmentedOptions struct {
 	// FS is the directory the log lives in (required; DirFS in
-	// production, MemFS/FaultFS in crash tests).
+	// production, MemFS in tests and simulation harnesses, FaultFS in
+	// crash tests).
 	FS FS
 	// SegmentBytes is the rotation threshold: a record that would push
 	// the active segment past it seals the segment first (default 1 MiB).
@@ -354,7 +306,7 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 		if err != nil {
 			return nil, fmt.Errorf("wal: open segment %d: %w", seq, err)
 		}
-		valid, err := scanFrames(f, func(payload []byte) error {
+		valid, err := ScanFrames(f, maxRecordPayload, func(payload []byte) error {
 			records++
 			return codec.Apply(payload)
 		})
@@ -421,27 +373,59 @@ func OpenSegmented(codec SnapshotCodec, opts SegmentedOptions) (*SegmentedLog, e
 // readSnapshotFile reads and validates one snapshot file: exactly one
 // frame, nothing else.
 func readSnapshotFile(fs FS, name string) ([]byte, error) {
+	size, err := fs.Size(name)
+	if err != nil {
+		return nil, err
+	}
 	f, err := fs.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close() //nolint:errcheck // read-only
-	raw, err := io.ReadAll(f)
+	var payload []byte
+	frames := 0
+	valid, err := ScanFrames(f, size-headerSize, func(p []byte) error {
+		payload = p
+		frames++
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < headerSize {
-		return nil, ErrCorrupt
-	}
-	payloadLen := binary.LittleEndian.Uint32(raw[0:4])
-	if int(payloadLen) != len(raw)-headerSize {
-		return nil, ErrCorrupt
-	}
-	payload := raw[headerSize:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(raw[4:8]) {
+	if frames != 1 || valid != size {
 		return nil, ErrCorrupt
 	}
 	return payload, nil
+}
+
+// ScanSegments calls fn for every record still held in fs's segments,
+// oldest first, without opening the log for writing. For a log that
+// never snapshotted, that is its whole history. Close the log first:
+// records still queued for its writer are not in the segments yet.
+func ScanSegments(fs FS, fn func(payload []byte) error) error {
+	names, err := fs.List()
+	if err != nil {
+		return fmt.Errorf("wal: list segments: %w", err)
+	}
+	var segs []uint64
+	for _, name := range names {
+		if seq, ok := parseSeq(name, "wal-", ".seg"); ok {
+			segs = append(segs, seq)
+		}
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	for _, seq := range segs {
+		f, err := fs.Open(segName(seq))
+		if err != nil {
+			return fmt.Errorf("wal: open segment %d: %w", seq, err)
+		}
+		_, err = ScanFrames(f, maxRecordPayload, fn)
+		f.Close() //nolint:errcheck // read-only
+		if err != nil {
+			return fmt.Errorf("wal: segment %d: %w", seq, err)
+		}
+	}
+	return nil
 }
 
 // ReplayStats reports what recovery replayed at open.
@@ -663,7 +647,7 @@ func (s *SegmentedLog) commit(batch []segAppend) {
 // writeRecord frames and writes one record, rotating the active segment
 // first when it would overflow.
 func (s *SegmentedLog) writeRecord(payload []byte) error {
-	buf := frame(payload)
+	buf := Frame(payload)
 	if s.activeSize > 0 && s.activeSize+int64(len(buf)) > int64(s.opts.SegmentBytes) {
 		if err := s.rotate(); err != nil {
 			return err
@@ -726,7 +710,7 @@ func (s *SegmentedLog) maybeSnapshot() {
 		if err != nil {
 			return false
 		}
-		if _, err := f.Write(frame(payload)); err != nil {
+		if _, err := f.Write(Frame(payload)); err != nil {
 			f.Close() //nolint:errcheck
 			return false
 		}

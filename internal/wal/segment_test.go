@@ -121,10 +121,6 @@ func TestSegmentedRotation(t *testing.T) {
 	}
 }
 
-// TestSnapshotBoundsReplay: with snapshots enabled, the number of records
-// replayed at open is bounded by the snapshot cadence — independent of how
-// many records the log has ever carried — and compaction actually deletes
-// the covered segments.
 // TestDecisionSnapshotGolden pins the decision snapshot's bytes:
 // [u32 count] then, sorted by id, [u8 decision][u16 len][id] per entry.
 func TestDecisionSnapshotGolden(t *testing.T) {
@@ -144,6 +140,33 @@ func TestDecisionSnapshotGolden(t *testing.T) {
 	}
 }
 
+// TestNodeSnapshotGolden pins the node journal's snapshot bytes:
+// [u8 flags][u8 vote][u8 input][u8 decision][u16 coinCount][coins], flag
+// bits 1=hasVote, 2=hasInput, 4=decided, 8=hasCoins.
+func TestNodeSnapshotGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		st   wal.State
+		want []byte
+	}{
+		{"empty", wal.State{}, []byte{0, 0, 0, 0, 0, 0}},
+		{"vote only", wal.State{HasVote: true, Vote: types.V1}, []byte{1, 1, 0, 0, 0, 0}},
+		{"empty coin list", wal.State{Coins: []types.Value{}}, []byte{8, 0, 0, 0, 0, 0}},
+		{"decided", wal.State{
+			HasVote: true, Vote: types.V0, Coins: []types.Value{1, 0, 1},
+			HasInput: true, Input: types.V1, Decided: true, Decision: types.V0,
+		}, []byte{0xf, 0, 1, 0, 3, 0, 1, 0, 1}},
+	} {
+		if got := wal.EncodeNodeSnapshot(c.st); !bytes.Equal(got, c.want) {
+			t.Errorf("%s: snapshot bytes:\ngot  %v\nwant %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSnapshotBoundsReplay: with snapshots enabled, the number of records
+// replayed at open is bounded by the snapshot cadence — independent of how
+// many records the log has ever carried — and compaction actually deletes
+// the covered segments.
 func TestSnapshotBoundsReplay(t *testing.T) {
 	const every = 16
 	run := func(txns int) (replayed int, st wal.SegStats, files int) {
@@ -195,6 +218,39 @@ func TestSnapshotBoundsReplay(t *testing.T) {
 	// stays small no matter how long the log has lived.
 	if files > 8 {
 		t.Errorf("directory holds %d files after compaction", files)
+	}
+}
+
+// TestSnapshotLargerThanRecordBound: a snapshot is one frame however
+// large the state grows, so restoring one must not apply the per-record
+// length bound that guards segments.
+func TestSnapshotLargerThanRecordBound(t *testing.T) {
+	const txns = 12_000 // ~100-byte ids: a ~1.3 MB snapshot
+	fs := wal.NewMemFS()
+	opts := wal.SegmentedOptions{FS: fs, SnapshotEvery: txns}
+	dl, err := wal.OpenDecisionLog(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("x", 90)
+	for i := 0; i < txns; i++ {
+		if err := dl.Append(pad+txnID(i), types.DecisionCommit, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dl2, err := wal.OpenDecisionLog(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dl2.Close() //nolint:errcheck
+	if dl2.ReplayStats().SnapshotSeq == 0 {
+		t.Fatal("no snapshot was restored")
+	}
+	if got := len(dl2.Recovered()); got != txns {
+		t.Fatalf("recovered %d decisions, want %d", got, txns)
 	}
 }
 
@@ -319,150 +375,10 @@ func TestSegmentedFlushErrorReachesEveryWaiter(t *testing.T) {
 	dl.Close() //nolint:errcheck // already poisoned
 }
 
-// countWriter is a concurrency-safe sink whose length tells a test how
-// many record bytes have been written so far.
-type countWriter struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.buf.Write(p)
-}
-
-func (w *countWriter) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.buf.Len()
-}
-
-// decisionRecordSize is the framed size of a coin-less record:
-// 8 bytes of header + 4 of payload.
-const decisionRecordSize = 12
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestLogSyncErrorReachesEveryWaiter is the regression test for the
-// coalesced-fsync error path of the single-file Log: a leader's failed
-// flush must propagate to every follower whose record it covered (and
-// poison the log), never silently ack a follower. The blocking hook
-// freezes the leader mid-fsync so followers provably pile onto it.
-func TestLogSyncErrorReachesEveryWaiter(t *testing.T) {
-	errDisk := errors.New("disk gone")
-	enter := make(chan struct{})   // closed when the leader is inside sync
-	release := make(chan struct{}) // closed to let the leader's sync return
-	var syncCalls atomic.Int32
-	w := &countWriter{}
-	log := wal.NewWithSync(w, func() error {
-		if syncCalls.Add(1) == 1 {
-			close(enter)
-			<-release
-		}
-		return errDisk
-	})
-
-	leaderErr := make(chan error, 1)
-	go func() {
-		leaderErr <- log.Append(wal.Record{Type: wal.RecordDecision, Value: 1})
-	}()
-	<-enter
-
-	const followers = 8
-	followerErrs := make(chan error, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			followerErrs <- log.Append(wal.Record{Type: wal.RecordDecision, Value: 1})
-		}()
-	}
-	// All followers must have written (and be waiting on the flush)
-	// before the leader's fsync resolves.
-	waitFor(t, "followers to write", func() bool {
-		return w.Len() == (1+followers)*decisionRecordSize
-	})
-	close(release)
-
-	if err := <-leaderErr; !errors.Is(err, errDisk) {
-		t.Fatalf("leader got %v, want the disk error", err)
-	}
-	for i := 0; i < followers; i++ {
-		if err := <-followerErrs; !errors.Is(err, errDisk) {
-			t.Fatalf("follower got %v, want the disk error", err)
-		}
-	}
-	// The poison is sticky — and no follower may retry the flush (the
-	// durable suffix is unknown), so sync ran exactly once.
-	if err := log.Append(wal.Record{Type: wal.RecordDecision, Value: 1}); !errors.Is(err, errDisk) {
-		t.Errorf("post-poison append got %v, want the disk error", err)
-	}
-	if n := syncCalls.Load(); n != 1 {
-		t.Errorf("sync ran %d times after a poisoning failure, want 1", n)
-	}
-}
-
-// TestLogSyncSuccessCoalesces is the success-path twin: followers that
-// write while the leader is flushing are covered by exactly one follow-up
-// flush, not one each.
-func TestLogSyncSuccessCoalesces(t *testing.T) {
-	enter := make(chan struct{})
-	release := make(chan struct{})
-	var syncCalls atomic.Int32
-	w := &countWriter{}
-	log := wal.NewWithSync(w, func() error {
-		if syncCalls.Add(1) == 1 {
-			close(enter)
-			<-release
-		}
-		return nil
-	})
-
-	leaderErr := make(chan error, 1)
-	go func() {
-		leaderErr <- log.Append(wal.Record{Type: wal.RecordDecision, Value: 1})
-	}()
-	<-enter
-
-	const followers = 8
-	followerErrs := make(chan error, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			followerErrs <- log.Append(wal.Record{Type: wal.RecordDecision, Value: 1})
-		}()
-	}
-	waitFor(t, "followers to write", func() bool {
-		return w.Len() == (1+followers)*decisionRecordSize
-	})
-	close(release)
-
-	if err := <-leaderErr; err != nil {
-		t.Fatalf("leader: %v", err)
-	}
-	for i := 0; i < followers; i++ {
-		if err := <-followerErrs; err != nil {
-			t.Fatalf("follower: %v", err)
-		}
-	}
-	// The leader's flush covered only its own record (it started before
-	// the followers wrote); ONE more flush covered all eight followers.
-	if n := syncCalls.Load(); n != 2 {
-		t.Errorf("sync ran %d times for 1 leader + %d followers, want 2", n, followers)
-	}
-}
-
-// TestDifferentialSegmentedVsSingleFileReplay: the same record stream
-// appended through the single-file Log and through the segmented node
-// journal (with rotation and snapshots forced) must reconstruct the SAME
-// protocol state.
+// TestDifferentialSegmentedVsSingleFileReplay: a record stream appended
+// through the segmented node journal (with rotation and snapshots
+// forced) must reconstruct the same protocol state as folding the
+// in-memory stream directly — what a single-file replay computed.
 func TestDifferentialSegmentedVsSingleFileReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var stream []wal.Record
@@ -481,24 +397,15 @@ func TestDifferentialSegmentedVsSingleFileReplay(t *testing.T) {
 		}
 	}
 	stream = append(stream, wal.Record{Type: wal.RecordDecision, Value: 1})
-
-	// Single-file replay.
-	var buf bytes.Buffer
-	single := wal.New(&buf)
-	for _, r := range stream {
-		if err := single.Append(r); err != nil {
-			t.Fatalf("single append: %v", err)
-		}
-	}
-	records, err := wal.Replay(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("single replay: %v", err)
-	}
-	want := wal.Reconstruct(records)
+	want := wal.Reconstruct(stream)
 
 	// Segmented replay, with rotation and snapshots in the path.
-	dir := t.TempDir()
-	nl, st0, had, err := wal.OpenNodeLog(dir, wal.SegmentedOptions{SegmentBytes: 128, SnapshotEvery: 64})
+	fs, err := wal.NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := wal.SegmentedOptions{FS: fs, SegmentBytes: 128, SnapshotEvery: 64}
+	nl, st0, had, err := wal.OpenNodeLog(opts)
 	if err != nil {
 		t.Fatalf("segmented open: %v", err)
 	}
@@ -514,7 +421,7 @@ func TestDifferentialSegmentedVsSingleFileReplay(t *testing.T) {
 		t.Fatalf("segmented close: %v", err)
 	}
 
-	nl2, got, had2, err := wal.OpenNodeLog(dir, wal.SegmentedOptions{SegmentBytes: 128, SnapshotEvery: 64})
+	nl2, got, had2, err := wal.OpenNodeLog(opts)
 	if err != nil {
 		t.Fatalf("segmented reopen: %v", err)
 	}
@@ -523,9 +430,9 @@ func TestDifferentialSegmentedVsSingleFileReplay(t *testing.T) {
 		t.Fatal("segmented journal forgot its participation")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("segmented replay diverged from single-file replay:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("segmented replay diverged from the stream's fold:\n got %+v\nwant %+v", got, want)
 	}
-	if rs, ok := nl2.Stats(); !ok || rs.Replay.SnapshotSeq == 0 {
-		t.Errorf("differential run never exercised a snapshot (stats %+v ok=%v)", rs, ok)
+	if rs := nl2.Stats(); rs.Replay.SnapshotSeq == 0 {
+		t.Errorf("differential run never exercised a snapshot (stats %+v)", rs)
 	}
 }

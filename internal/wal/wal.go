@@ -1,23 +1,27 @@
-// Package wal provides the write-ahead log that makes the paper's
+// Package wal provides the write-ahead logs that make the paper's
 // recovery story concrete. The protocol's graceful degradation ("instead
 // of producing a wrong answer, the protocol simply fails to terminate...
 // by not producing a wrong answer, we leave open the opportunity to
 // recover", §1) is only useful if a crashed processor can come back,
-// re-learn where it was, and find out the outcome. This package persists
-// the protocol-relevant transitions — the vote, the shared coin list, the
-// agreement input, and the decision — in an append-only, checksummed,
-// torn-tail-tolerant log.
+// re-learn where it was, and find out the outcome.
 //
-// Record layout (little endian):
+// Every journal — a node's protocol transitions (NodeLog), the commit
+// service's decisions (DecisionLog), and the cross-shard coordinator's
+// index in internal/shard — is a SegmentedLog: checksummed,
+// torn-tail-tolerant segments written by one group-commit goroutine and
+// bounded in replay length by snapshots. One record framing serves them
+// all (little endian):
 //
 //	[u32 payloadLen][u32 crc32(payload)][payload]
 //
-// payload:
+// Frame writes it and ScanFrames reads it; nothing else in the module
+// frames or parses records. A scan stops cleanly at a truncated tail
+// (the crash-during-append case) and rejects corrupted records
+// (checksum mismatch or implausible length).
+//
+// A node journal record's payload is:
 //
 //	[u8 type][u8 value][u16 coinCount][coinCount bytes of coin bits]
-//
-// Replay stops cleanly at a truncated tail (the crash-during-append
-// case) and rejects corrupted records (checksum mismatch).
 package wal
 
 import (
@@ -26,8 +30,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"sync"
 
 	"repro/internal/types"
 )
@@ -76,8 +78,58 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 
 const headerSize = 8
 
+// maxRecordPayload bounds one segment record: a larger length field is
+// corruption, not a record still being written.
+const maxRecordPayload = 1 << 20
+
+// Frame wraps payload in the [u32 len][u32 crc][payload] record framing.
+func Frame(payload []byte) []byte {
+	buf := make([]byte, headerSize+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	copy(buf[headerSize:], payload)
+	return buf
+}
+
+// ScanFrames reads framed payloads from r, calling fn for each, and
+// returns the byte length of the valid prefix. A torn tail (truncated
+// header or payload — the crash-during-append case) stops the scan
+// cleanly, while a checksum mismatch or a length above maxPayload
+// returns ErrCorrupt.
+func ScanFrames(r io.Reader, maxPayload int64, fn func(payload []byte) error) (int64, error) {
+	var off int64
+	header := make([]byte, headerSize)
+	for {
+		if _, err := io.ReadFull(r, header); err != nil {
+			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+				return off, nil // torn header: stop
+			}
+			return off, err
+		}
+		payloadLen := binary.LittleEndian.Uint32(header[0:4])
+		wantCRC := binary.LittleEndian.Uint32(header[4:8])
+		if int64(payloadLen) > maxPayload {
+			return off, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, payloadLen)
+		}
+		payload := make([]byte, payloadLen)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+				return off, nil // torn payload: stop
+			}
+			return off, err
+		}
+		if crc32.ChecksumIEEE(payload) != wantCRC {
+			return off, ErrCorrupt
+		}
+		if err := fn(payload); err != nil {
+			return off, err
+		}
+		off += int64(headerSize) + int64(payloadLen)
+	}
+}
+
 // encodePayload serializes a record's payload (the bytes under the
-// frame — the segmented log frames them itself).
+// frame).
 func encodePayload(r Record) ([]byte, error) {
 	if len(r.Coins) > 1<<16-1 {
 		return nil, fmt.Errorf("wal: too many coins (%d)", len(r.Coins))
@@ -90,15 +142,6 @@ func encodePayload(r Record) ([]byte, error) {
 		payload[4+i] = byte(c)
 	}
 	return payload, nil
-}
-
-// encode serializes a framed record.
-func encode(r Record) ([]byte, error) {
-	payload, err := encodePayload(r)
-	if err != nil {
-		return nil, err
-	}
-	return frame(payload), nil
 }
 
 // decodePayload parses a checksum-verified payload.
@@ -120,179 +163,6 @@ func decodePayload(payload []byte) (Record, error) {
 	return r, nil
 }
 
-// Log is an append-only record log over any writer. Appends are
-// serialized; a Log is safe for concurrent use.
-//
-// Decision appends are durable: when a sync hook is configured (file
-// logs), Append does not return until an fsync covering the record has
-// succeeded. Concurrent decision appends coalesce onto one fsync — a
-// single leader flushes while followers wait, and the flush covers every
-// record written before it started — so the disk sees one write barrier
-// per GROUP of decisions, not one per decision. A failed fsync leaves the
-// on-disk suffix unknown, so it propagates to every waiter whose record
-// it covered and poisons the log: all later appends fail fast with the
-// same error.
-type Log struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	w    io.Writer
-	// sync, if non-nil, is invoked to make appended records durable
-	// (fsync). Decision appends block until covered by a successful call.
-	sync func() error
-
-	writeSeq uint64 // records written so far
-	syncSeq  uint64 // highest writeSeq covered by a successful sync
-	syncing  bool   // a leader is currently inside l.sync
-	err      error  // sticky poison after a failed write or sync
-}
-
-// New creates a log over w.
-func New(w io.Writer) *Log {
-	l := &Log{w: w}
-	l.cond = sync.NewCond(&l.mu)
-	return l
-}
-
-// NewWithSync creates a log over w whose decision appends block until
-// covered by a successful call of sync (the coalesced-fsync path file
-// logs use; tests inject failing or blocking hooks here).
-func NewWithSync(w io.Writer, sync func() error) *Log {
-	l := New(w)
-	l.sync = sync
-	return l
-}
-
-// Append writes one record, syncing after decisions when supported.
-func (l *Log) Append(r Record) error {
-	buf, err := encode(r)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	if _, err := l.w.Write(buf); err != nil {
-		l.err = fmt.Errorf("wal: append: %w", err)
-		return l.err
-	}
-	l.writeSeq++
-	if r.Type != RecordDecision || l.sync == nil {
-		return nil
-	}
-	return l.syncToLocked(l.writeSeq)
-}
-
-// syncToLocked blocks until a successful fsync covers seq or the log is
-// poisoned. At most one fsync runs at a time: the first arrival becomes
-// the leader and flushes OUTSIDE the lock, so followers keep appending
-// and pile onto the next flush — that is the group commit. The flush
-// covers every record written before it starts; its error, if any, is
-// returned to every waiter it covered (and everyone after — a failed
-// fsync means the durable suffix is unknown, so the log poisons itself).
-func (l *Log) syncToLocked(seq uint64) error {
-	for {
-		if l.err != nil {
-			return l.err
-		}
-		if l.syncSeq >= seq {
-			return nil
-		}
-		if l.syncing {
-			l.cond.Wait()
-			continue
-		}
-		l.syncing = true
-		covered := l.writeSeq
-		l.mu.Unlock()
-		err := l.sync()
-		l.mu.Lock()
-		l.syncing = false
-		if err != nil {
-			l.err = fmt.Errorf("wal: sync: %w", err)
-		} else if covered > l.syncSeq {
-			l.syncSeq = covered
-		}
-		l.cond.Broadcast()
-	}
-}
-
-// FileLog is a Log backed by an O_APPEND file.
-type FileLog struct {
-	*Log
-	f *os.File
-}
-
-// OpenFile opens (creating if needed) an append-only file log.
-func OpenFile(path string) (*FileLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	l := New(f)
-	l.sync = f.Sync
-	return &FileLog{Log: l, f: f}, nil
-}
-
-// Close syncs and closes the file.
-func (l *FileLog) Close() error {
-	if err := l.f.Sync(); err != nil {
-		l.f.Close() //nolint:errcheck
-		return err
-	}
-	return l.f.Close()
-}
-
-// Replay reads records until EOF. A cleanly truncated tail (torn final
-// record) ends replay without error; a checksum mismatch returns
-// ErrCorrupt with the records read so far.
-func Replay(r io.Reader) ([]Record, error) {
-	var out []Record
-	header := make([]byte, headerSize)
-	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out, nil // torn header: stop
-			}
-			return out, err
-		}
-		payloadLen := binary.LittleEndian.Uint32(header[0:4])
-		wantCRC := binary.LittleEndian.Uint32(header[4:8])
-		if payloadLen > 1<<20 {
-			return out, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, payloadLen)
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out, nil // torn payload: stop
-			}
-			return out, err
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return out, ErrCorrupt
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
-
-// ReplayFile replays a file log (a missing file yields an empty state).
-func ReplayFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close() //nolint:errcheck // read-only
-	return Replay(f)
-}
-
 // State is the protocol state reconstructed from a log.
 type State struct {
 	HasVote  bool
@@ -304,20 +174,26 @@ type State struct {
 	Decision types.Value
 }
 
+// apply folds one record into the state: the single per-record fold
+// behind both Reconstruct and the node journal's replay.
+func (s *State) apply(r Record) {
+	switch r.Type {
+	case RecordVote:
+		s.HasVote, s.Vote = true, r.Value
+	case RecordCoins:
+		s.Coins = r.Coins
+	case RecordInput:
+		s.HasInput, s.Input = true, r.Value
+	case RecordDecision:
+		s.Decided, s.Decision = true, r.Value
+	}
+}
+
 // Reconstruct folds records into the latest state.
 func Reconstruct(records []Record) State {
 	var s State
 	for _, r := range records {
-		switch r.Type {
-		case RecordVote:
-			s.HasVote, s.Vote = true, r.Value
-		case RecordCoins:
-			s.Coins = r.Coins
-		case RecordInput:
-			s.HasInput, s.Input = true, r.Value
-		case RecordDecision:
-			s.Decided, s.Decision = true, r.Value
-		}
+		s.apply(r)
 	}
 	return s
 }

@@ -1,8 +1,8 @@
 package wal_test
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -15,9 +15,80 @@ import (
 	"repro/internal/wal"
 )
 
+// openNodeLog opens a node journal on fs, failing the test on error.
+func openNodeLog(t testing.TB, fs wal.FS) *wal.NodeLog {
+	t.Helper()
+	nl, _, _, err := wal.OpenNodeLog(wal.SegmentedOptions{FS: fs})
+	if err != nil {
+		t.Fatalf("open node journal: %v", err)
+	}
+	return nl
+}
+
+// segmentRecords decodes every record in a closed journal's segments.
+func segmentRecords(t testing.TB, fs wal.FS) []wal.Record {
+	t.Helper()
+	var out []wal.Record
+	err := wal.ScanSegments(fs, func(payload []byte) error {
+		r, err := wal.DecodeRecord(payload)
+		out = append(out, r)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("scan segments: %v", err)
+	}
+	return out
+}
+
+// frameRecords frames records exactly as the journal writes them.
+func frameRecords(t testing.TB, records ...wal.Record) []byte {
+	t.Helper()
+	var out []byte
+	for _, r := range records {
+		p, err := wal.EncodeRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, wal.Frame(p)...)
+	}
+	return out
+}
+
+// checkFraming feeds raw segment bytes to both readers of the framing —
+// the segment scanner and segmented open — and checks each reports
+// wantRecords records before a clean stop, or fails with wantErr.
+func checkFraming(t *testing.T, name string, raw []byte, wantRecords int, wantErr error) {
+	t.Helper()
+	n := 0
+	err := wal.ScanSegments(diskWith(raw, nil), func([]byte) error { n++; return nil })
+	if wantErr != nil {
+		if !errors.Is(err, wantErr) {
+			t.Errorf("%s: scan err = %v, want %v", name, err, wantErr)
+		}
+	} else if err != nil || n != wantRecords {
+		t.Errorf("%s: scan read %d records (err %v), want %d", name, n, err, wantRecords)
+	}
+
+	nl, _, _, err := wal.OpenNodeLog(wal.SegmentedOptions{FS: diskWith(raw, nil)})
+	if wantErr != nil {
+		if !errors.Is(err, wantErr) {
+			t.Errorf("%s: open err = %v, want %v", name, err, wantErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Errorf("%s: open: %v", name, err)
+		return
+	}
+	defer nl.Close() //nolint:errcheck
+	if got := nl.Stats().Replay.Records; got != wantRecords {
+		t.Errorf("%s: open replayed %d records, want %d", name, got, wantRecords)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	log := wal.New(&buf)
+	fs := wal.NewMemFS()
+	log := openNodeLog(t, fs)
 	records := []wal.Record{
 		{Type: wal.RecordVote, Value: types.V1},
 		{Type: wal.RecordCoins, Coins: []types.Value{1, 0, 1, 1, 0}},
@@ -30,10 +101,10 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := wal.Replay(&buf)
-	if err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
+	got := segmentRecords(t, fs)
 	if len(got) != len(records) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(records))
 	}
@@ -48,87 +119,89 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestTornTailIsTolerated(t *testing.T) {
-	var buf bytes.Buffer
-	log := wal.New(&buf)
-	if err := log.Append(wal.Record{Type: wal.RecordVote, Value: types.V1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Append(wal.Record{Type: wal.RecordDecision, Value: types.V1}); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Chop bytes off the end: replay must never error, and must return
-	// the first record intact once the second is incomplete.
+	full := frameRecords(t,
+		wal.Record{Type: wal.RecordVote, Value: types.V1},
+		wal.Record{Type: wal.RecordDecision, Value: types.V1})
+	// Chop bytes off the end: neither reader may error, and both must
+	// return the first record intact once the second is incomplete.
 	for cut := 1; cut < 12; cut++ {
-		got, err := wal.Replay(bytes.NewReader(full[:len(full)-cut]))
-		if err != nil {
-			t.Fatalf("cut=%d: %v", cut, err)
-		}
-		if len(got) != 1 {
-			t.Fatalf("cut=%d: %d records, want 1", cut, len(got))
-		}
+		checkFraming(t, fmt.Sprintf("cut=%d", cut), full[:len(full)-cut], 1, nil)
 	}
 }
 
 func TestCorruptionDetected(t *testing.T) {
-	var buf bytes.Buffer
-	log := wal.New(&buf)
-	if err := log.Append(wal.Record{Type: wal.RecordDecision, Value: types.V1}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[len(raw)-1] ^= 0xFF // flip a payload bit
-	_, err := wal.Replay(bytes.NewReader(raw))
-	if !errors.Is(err, wal.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	decision := wal.Record{Type: wal.RecordDecision, Value: types.V1}
+	payloadBit := frameRecords(t, decision)
+	payloadBit[len(payloadBit)-1] ^= 0xFF
+	crcField := frameRecords(t, decision, decision)
+	crcField[4] ^= 0x01 // the first record's checksum, with a good record after it
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"flipped payload bit", payloadBit},
+		{"flipped checksum bit", crcField},
+	} {
+		checkFraming(t, c.name, c.raw, 0, wal.ErrCorrupt)
 	}
 }
 
 func TestImplausibleLengthRejected(t *testing.T) {
-	raw := []byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 1, 2, 3}
-	_, err := wal.Replay(bytes.NewReader(raw))
-	if !errors.Is(err, wal.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"2GiB length", []byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 1, 2, 3}},
+		{"one byte past the record bound", []byte{0x01, 0x00, 0x10, 0x00, 0, 0, 0, 0, 1, 2, 3}},
+	} {
+		checkFraming(t, c.name, c.raw, 0, wal.ErrCorrupt)
 	}
 }
 
-func TestFileLogLifecycle(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "proc3.wal")
-	fl, err := wal.OpenFile(path)
+// TestNodeLogDirLifecycle runs a node journal on a real directory:
+// records survive close/reopen, appends after a reopen accumulate, and
+// a fresh directory carries no prior participation.
+func TestNodeLogDirLifecycle(t *testing.T) {
+	fs, err := wal.NewDirFS(filepath.Join(t.TempDir(), "proc3.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fl.Append(wal.Record{Type: wal.RecordVote, Value: types.V1}); err != nil {
+	nl, st, had, err := wal.OpenNodeLog(wal.SegmentedOptions{FS: fs})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fl.Append(wal.Record{Type: wal.RecordDecision, Value: types.V1}); err != nil {
+	if had || st.HasVote || st.Decided {
+		t.Fatalf("fresh directory claims prior participation: had=%v %+v", had, st)
+	}
+	if err := nl.Append(wal.Record{Type: wal.RecordVote, Value: types.V1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fl.Close(); err != nil {
+	if err := nl.Append(wal.Record{Type: wal.RecordDecision, Value: types.V1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Append-reopen: records accumulate.
-	fl2, err := wal.OpenFile(path)
+	nl2, st, had, err := wal.OpenNodeLog(wal.SegmentedOptions{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fl2.Append(wal.Record{Type: wal.RecordVote, Value: types.V0}); err != nil {
+	if !had || !st.Decided || st.Decision != types.V1 {
+		t.Fatalf("reopened journal: had=%v %+v", had, st)
+	}
+	if err := nl2.Append(wal.Record{Type: wal.RecordVote, Value: types.V0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fl2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := wal.ReplayFile(path)
+	st, err = nl2.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
+	if got := segmentRecords(t, fs); len(got) != 3 {
 		t.Fatalf("replayed %d records, want 3", len(got))
 	}
-	// Missing file: empty state, no error.
-	none, err := wal.ReplayFile(filepath.Join(t.TempDir(), "absent.wal"))
-	if err != nil || none != nil {
-		t.Fatalf("missing file: %v %v", none, err)
+	if !st.Decided || st.Vote != types.V0 {
+		t.Fatalf("drained state = %+v, want decided with vote 0", st)
 	}
 }
 
@@ -182,12 +255,16 @@ func TestQuickRoundTrip(t *testing.T) {
 				r.Coins = append(r.Coins, types.V0)
 			}
 		}
-		var buf bytes.Buffer
-		if err := wal.New(&buf).Append(r); err != nil {
+		fs := wal.NewMemFS()
+		log := openNodeLog(t, fs)
+		if err := log.Append(r); err != nil {
 			return false
 		}
-		got, err := wal.Replay(&buf)
-		if err != nil || len(got) != 1 {
+		if err := log.Close(); err != nil {
+			return false
+		}
+		got := segmentRecords(t, fs)
+		if len(got) != 1 {
 			return false
 		}
 		if got[0].Type != r.Type || got[0].Value != r.Value || len(got[0].Coins) != len(r.Coins) {
@@ -209,7 +286,7 @@ func TestQuickRoundTrip(t *testing.T) {
 // journaled and confirms the logs reconstruct to the protocol outcome.
 func TestLoggedCommitJournal(t *testing.T) {
 	n := 5
-	bufs := make([]*bytes.Buffer, n)
+	logs := make([]*wal.NodeLog, n)
 	machines := make([]types.Machine, n)
 	logged := make([]*wal.LoggedCommit, n)
 	for i := 0; i < n; i++ {
@@ -219,8 +296,8 @@ func TestLoggedCommitJournal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bufs[i] = &bytes.Buffer{}
-		logged[i] = wal.NewLoggedCommit(m, wal.New(bufs[i]))
+		logs[i] = openNodeLog(t, wal.NewMemFS())
+		logged[i] = wal.NewLoggedCommit(m, logs[i])
 		machines[i] = logged[i]
 	}
 	res, err := sim.Run(sim.Config{
@@ -237,11 +314,10 @@ func TestLoggedCommitJournal(t *testing.T) {
 		if logged[p].Err() != nil {
 			t.Fatalf("proc %d journal error: %v", p, logged[p].Err())
 		}
-		records, err := wal.Replay(bytes.NewReader(bufs[p].Bytes()))
+		s, err := logs[p].Drain()
 		if err != nil {
 			t.Fatalf("proc %d replay: %v", p, err)
 		}
-		s := wal.Reconstruct(records)
 		if !s.Decided || s.Decision != res.Values[p] {
 			t.Errorf("proc %d reconstructed %+v, run decided %v", p, s, res.Values[p])
 		}
@@ -262,22 +338,23 @@ func TestLoggedCommitJournal(t *testing.T) {
 // promised nothing).
 func TestLoggedCommitJournalsDemotion(t *testing.T) {
 	n := 3
-	var buf bytes.Buffer
+	fs := wal.NewMemFS()
+	log := openNodeLog(t, fs)
 	m, err := core.New(core.Config{ID: 1, N: n, T: 1, K: 2, Vote: types.V1, Gadget: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm := wal.NewLoggedCommit(m, wal.New(&buf))
+	lm := wal.NewLoggedCommit(m, log)
 	st := rng.NewStream(1)
 	// Wake with a bare GO, then starve through the 2K timeout.
 	lm.Step([]types.Message{{From: 0, To: 1, Payload: core.GoMsg{Coins: []types.Value{0, 1, 0}}}}, st)
 	for i := 0; i < 6; i++ {
 		lm.Step(nil, st)
 	}
-	records, err := wal.Replay(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
+	records := segmentRecords(t, fs)
 	votes := 0
 	for _, r := range records {
 		if r.Type == wal.RecordVote {

@@ -34,8 +34,9 @@ type NodeSpec struct {
 	// ServeOutcomeTicks keeps a decided node alive that many further
 	// ticks to answer outcome queries from recovering peers (default 64).
 	ServeOutcomeTicks int
-	// JournalPath, if set, write-ahead-logs the node's protocol
-	// transitions. On restart with the same path, StartNode detects the
+	// JournalPath, if set, names the directory the node write-ahead-logs
+	// its protocol transitions into (a segmented journal; created if
+	// absent, and an existing regular file is an error). On restart with the same path, StartNode detects the
 	// prior participation: a journaled decision is returned immediately,
 	// and an unfinished journal switches the node into recovery mode (it
 	// polls peers for the outcome instead of re-joining the protocol —
@@ -79,15 +80,12 @@ func StartNode(cfg Config, spec NodeSpec) (*Node, error) {
 		spec.ServeOutcomeTicks = 64
 	}
 
-	// Journal replay decides the node's mode. OpenNodeLog picks the
-	// backend from the path: a directory (or trailing separator) is a
-	// segmented log with snapshot-bounded replay, a plain file keeps the
-	// original single-file format.
+	// Journal replay decides the node's mode.
 	var state wal.State
 	var nlog *wal.NodeLog
 	hasJournal := false
 	if spec.JournalPath != "" {
-		nl, st, has, err := wal.OpenNodeLog(spec.JournalPath, wal.SegmentedOptions{})
+		nl, st, has, err := openJournal(spec.JournalPath)
 		if err != nil {
 			return nil, fmt.Errorf("tcommit: replay journal: %w", err)
 		}
@@ -235,10 +233,22 @@ func (n *Node) Run(ctx context.Context) (Decision, error) {
 	return None, err
 }
 
-// appendDecision appends a decision record to an existing journal
-// (either backend, chosen by the path as in OpenNodeLog).
+// openJournal opens the segmented journal in directory path, creating
+// it if needed. A path naming an existing regular file (a journal
+// from a build that kept single-file journals) fails here rather than
+// starting fresh: a node whose vote record went unread could rejoin
+// as new.
+func openJournal(path string) (*wal.NodeLog, wal.State, bool, error) {
+	fs, err := wal.NewDirFS(path)
+	if err != nil {
+		return nil, wal.State{}, false, err
+	}
+	return wal.OpenNodeLog(wal.SegmentedOptions{FS: fs})
+}
+
+// appendDecision appends a decision record to an existing journal.
 func appendDecision(path string, v types.Value) error {
-	nl, _, _, err := wal.OpenNodeLog(path, wal.SegmentedOptions{})
+	nl, _, _, err := openJournal(path)
 	if err != nil {
 		return err
 	}

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	tcommit "repro"
+	"repro/internal/wal"
 )
 
 // TestJournaledNodeLifecycle exercises the full journal flow through the
@@ -126,7 +128,7 @@ func TestRecoveryModeOverTCP(t *testing.T) {
 	go func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if fi, err := os.Stat(journal(victim)); err == nil && fi.Size() > 0 {
+			if fi, err := os.Stat(filepath.Join(journal(victim), "wal-00000001.seg")); err == nil && fi.Size() > 0 {
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -134,18 +136,11 @@ func TestRecoveryModeOverTCP(t *testing.T) {
 		nodes[victim].Kill()
 	}()
 
-	// Wait for the survivors to decide (poll their journals offline).
+	// Wait for the survivors to decide: poll a survivor's journal
+	// segments read-only (opening a live node's journal would race its
+	// writer).
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		re, err := tcommit.StartNode(cfg, tcommit.NodeSpec{ID: 0, JournalPath: journal(0)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.Mode() == "journal" {
-			break
-		}
-		// Not decided yet — but StartNode consumed the journal in
-		// recovery mode; that instance is unused. Spin.
+	for !journalDecided(t, journal(0)) {
 		if time.Now().After(deadline) {
 			t.Fatal("survivors never decided")
 		}
@@ -203,4 +198,38 @@ func TestRecoveryModeOverTCP(t *testing.T) {
 		nodes[i].Kill()
 	}
 	wg.Wait()
+}
+
+// journalDecided reports whether the node journal in dir holds a
+// decision record yet. A node record's payload starts with its type.
+func journalDecided(t *testing.T, dir string) bool {
+	t.Helper()
+	decided := false
+	err := wal.ScanSegments(wal.DirFS(dir), func(payload []byte) error {
+		decided = decided || len(payload) > 0 && wal.RecordType(payload[0]) == wal.RecordDecision
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decided
+}
+
+// TestStartNodeRejectsLegacyJournalFile: a JournalPath naming a regular
+// file — a single-file journal from an older build — must fail at start,
+// naming the path. Starting fresh instead would let a node whose vote
+// record went unread rejoin as new.
+func TestStartNodeRejectsLegacyJournalFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p0.wal")
+	if err := os.WriteFile(path, []byte("an old journal"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	node, err := tcommit.StartNode(tcommit.Config{N: 3}, tcommit.NodeSpec{ID: 0, JournalPath: path})
+	if err == nil {
+		node.Kill()
+		t.Fatal("StartNode accepted a single-file journal path")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("error %q does not name the journal path", err)
+	}
 }
