@@ -102,9 +102,9 @@ type Machine struct {
 	// a bug in the harness or a fault model stronger than fail-stop.
 	violation error
 
-	// out is the output buffer reused across Step calls (see the
+	// out is Step's output buffer, reused across Step calls (see the
 	// types.Machine contract: callers consume the slice before the next
-	// Step).
+	// Step). AppendStep callers bring their own.
 	out []types.Message
 }
 
@@ -168,51 +168,60 @@ func (m *Machine) Violation() error { return m.violation }
 
 // Step implements types.Machine.
 func (m *Machine) Step(received []types.Message, rnd types.Rand) []types.Message {
+	m.out = m.AppendStep(m.out[:0], received, rnd)
+	return m.out
+}
+
+// AppendStep is Step with the step's sends appended to dst rather than
+// to the machine's own scratch, so a caller stepping many machines
+// gathers their output in one buffer it owns and reuses.
+func (m *Machine) AppendStep(dst, received []types.Message, rnd types.Rand) []types.Message {
 	m.clock++
 	if m.halted {
-		return nil
+		return dst
 	}
-	m.post(received)
-
-	out := m.out[:0]
+	for i := range received {
+		m.Deliver(received[i])
+	}
 	if !m.started {
 		m.started = true
 		// Instruction 1: broadcast (1, 1, xp).
 		m.stageStart[m.stage] = m.clock
-		out = m.broadcast(out, ReportMsg{Stage: m.stage, Val: m.x})
+		dst = m.broadcast(dst, ReportMsg{Stage: m.stage, Val: m.x})
 	}
-	out = m.progress(out, rnd)
-	m.out = out
-	return out
+	return m.progress(dst, rnd)
 }
 
-// post records received messages on the bulletin board.
-func (m *Machine) post(received []types.Message) {
-	for i := range received {
-		switch p := received[i].Payload.(type) {
-		case ReportMsg:
-			mm := m.reports[p.Stage]
-			if mm == nil {
-				mm = make(map[types.ProcID]types.Value)
-				m.reports[p.Stage] = mm
-			}
-			if _, dup := mm[received[i].From]; !dup {
-				mm[received[i].From] = p.Val
-			}
-		case ProposalMsg:
-			mm := m.proposals[p.Stage]
-			if mm == nil {
-				mm = make(map[types.ProcID]proposal)
-				m.proposals[p.Stage] = mm
-			}
-			if _, dup := mm[received[i].From]; !dup {
-				mm[received[i].From] = proposal{val: p.Val, bot: p.Bot}
-			}
-		case DecidedMsg:
-			if m.cfg.Gadget && m.adoptDecided == nil {
-				v := p.Val
-				m.adoptDecided = &v
-			}
+// Deliver posts one received message on the bulletin board, where the
+// next step's waits see it — the same as passing it to that step. A
+// halted machine ignores it.
+func (m *Machine) Deliver(msg types.Message) {
+	if m.halted {
+		return
+	}
+	switch p := msg.Payload.(type) {
+	case ReportMsg:
+		mm := m.reports[p.Stage]
+		if mm == nil {
+			mm = make(map[types.ProcID]types.Value)
+			m.reports[p.Stage] = mm
+		}
+		if _, dup := mm[msg.From]; !dup {
+			mm[msg.From] = p.Val
+		}
+	case ProposalMsg:
+		mm := m.proposals[p.Stage]
+		if mm == nil {
+			mm = make(map[types.ProcID]proposal)
+			m.proposals[p.Stage] = mm
+		}
+		if _, dup := mm[msg.From]; !dup {
+			mm[msg.From] = proposal{val: p.Val, bot: p.Bot}
+		}
+	case DecidedMsg:
+		if m.cfg.Gadget && m.adoptDecided == nil {
+			v := p.Val
+			m.adoptDecided = &v
 		}
 	}
 }

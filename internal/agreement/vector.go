@@ -20,6 +20,7 @@ package agreement
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -117,11 +118,25 @@ func (c VectorConfig) Validate() error {
 	return nil
 }
 
-// vecProposal is one received (2, s, *) vector message.
-type vecProposal struct {
-	vals []types.Value
-	bots []bool
+// vecStage is one stage's bulletin board. The waits need only who has
+// sent and, per element, how many senders carried each value, so the
+// board tallies messages as they arrive and keeps no reference to the
+// received vectors.
+type vecStage struct {
+	stage     int
+	reporters []types.ProcID // senders of (1, s, *), each counted once
+	proposers []types.ProcID // senders of (2, s, *), each counted once
+	// tally holds four counts per element i at 4i..4i+3: reports
+	// carrying 0 and 1, then S-messages (non-⊥ proposals) carrying 0
+	// and 1.
+	tally []int32
 }
+
+// Tally offsets within an element's four counts.
+const (
+	tallyReport = 0 // + value
+	tallySMsg   = 2 // + value
+)
 
 // VectorMachine executes element-wise Protocol 1 over a value vector
 // with shared stage progression. It follows the same step contract as
@@ -143,16 +158,16 @@ type VectorMachine struct {
 	halted       bool
 	sentDecided  bool
 
-	// Bulletin board, stage -> sender -> vector.
-	reports   map[int]map[types.ProcID][]types.Value
-	proposals map[int]map[types.ProcID]vecProposal
+	// Bulletin board, one entry per stage heard of, in first-heard
+	// order (a run touches a handful of stages, so lookups scan).
+	stages []vecStage
 	// adoptDecided holds a received DECIDED vector awaiting adoption.
 	adoptDecided []types.Value
 
 	stagesCompleted int
 	violation       error
 
-	out []types.Message
+	out []types.Message // Step's scratch; AppendStep callers bring their own
 }
 
 // NewVector builds a vector agreement machine.
@@ -162,16 +177,14 @@ func NewVector(cfg VectorConfig) (*VectorMachine, error) {
 	}
 	b := len(cfg.Initial)
 	return &VectorMachine{
-		cfg:       cfg,
-		b:         b,
-		x:         append([]types.Value(nil), cfg.Initial...),
-		stage:     1,
-		ph:        phaseReports,
-		decided:   make([]bool, b),
-		decision:  make([]types.Value, b),
-		retReady:  make([]bool, b),
-		reports:   make(map[int]map[types.ProcID][]types.Value),
-		proposals: make(map[int]map[types.ProcID]vecProposal),
+		cfg:      cfg,
+		b:        b,
+		x:        append([]types.Value(nil), cfg.Initial...),
+		stage:    1,
+		ph:       phaseReports,
+		decided:  make([]bool, b),
+		decision: make([]types.Value, b),
+		retReady: make([]bool, b),
 	}, nil
 }
 
@@ -209,62 +222,113 @@ func (m *VectorMachine) Violation() error { return m.violation }
 
 // Step advances the machine one tick with the given received messages.
 func (m *VectorMachine) Step(received []types.Message, rnd types.Rand) []types.Message {
+	m.out = m.AppendStep(m.out[:0], received, rnd)
+	return m.out
+}
+
+// AppendStep is Step with the step's sends appended to dst rather than
+// to the machine's own scratch, so a caller stepping many machines
+// gathers their output in one buffer it owns and reuses.
+func (m *VectorMachine) AppendStep(dst, received []types.Message, rnd types.Rand) []types.Message {
 	m.clock++
 	if m.halted {
-		return nil
+		return dst
 	}
-	m.post(received)
-
-	out := m.out[:0]
+	for i := range received {
+		m.Deliver(received[i])
+	}
 	if !m.started {
 		m.started = true
 		// Instruction 1: broadcast (1, 1, x), the whole vector at once.
-		out = m.broadcast(out, VecReportMsg{Stage: m.stage, Vals: m.snapshotX()})
+		dst = m.broadcast(dst, VecReportMsg{Stage: m.stage, Vals: m.snapshotX()})
 	}
-	out = m.progress(out, rnd)
-	m.out = out
-	return out
+	return m.progress(dst, rnd)
 }
 
-// post records received messages on the bulletin board. Vectors of the
-// wrong width are ignored outright: counting such a sender toward an
-// n−t wait would leave some element short of evidence.
-func (m *VectorMachine) post(received []types.Message) {
-	for i := range received {
-		switch p := received[i].Payload.(type) {
-		case VecReportMsg:
-			if len(p.Vals) != m.b {
-				continue
-			}
-			mm := m.reports[p.Stage]
-			if mm == nil {
-				mm = make(map[types.ProcID][]types.Value)
-				m.reports[p.Stage] = mm
-			}
-			if _, dup := mm[received[i].From]; !dup {
-				mm[received[i].From] = p.Vals
-			}
-		case VecProposalMsg:
-			if len(p.Vals) != m.b || len(p.Bots) != m.b {
-				continue
-			}
-			mm := m.proposals[p.Stage]
-			if mm == nil {
-				mm = make(map[types.ProcID]vecProposal)
-				m.proposals[p.Stage] = mm
-			}
-			if _, dup := mm[received[i].From]; !dup {
-				mm[received[i].From] = vecProposal{vals: p.Vals, bots: p.Bots}
-			}
-		case VecDecidedMsg:
-			if len(p.Vals) != m.b {
-				continue
-			}
-			if m.cfg.Gadget && m.adoptDecided == nil {
-				m.adoptDecided = p.Vals
+// Deliver posts one received message on the bulletin board, where the
+// next step's waits see it — the same as passing it to that step. A
+// halted machine ignores it. Vectors of the wrong width are ignored
+// outright: counting such a sender toward an n−t wait would leave some
+// element short of evidence. So are reports and S-messages carrying a
+// value other than 0 or 1, which a frame off the wire can hold.
+func (m *VectorMachine) Deliver(msg types.Message) {
+	if m.halted {
+		return
+	}
+	switch p := msg.Payload.(type) {
+	case VecReportMsg:
+		if len(p.Vals) != m.b || !binaryAt(p.Vals, nil) {
+			return
+		}
+		st := m.board(p.Stage)
+		if slices.Contains(st.reporters, msg.From) {
+			return
+		}
+		st.reporters = append(st.reporters, msg.From)
+		for i, v := range p.Vals {
+			st.tally[4*i+tallyReport+int(v)]++
+		}
+	case VecProposalMsg:
+		if len(p.Vals) != m.b || len(p.Bots) != m.b || !binaryAt(p.Vals, p.Bots) {
+			return
+		}
+		st := m.board(p.Stage)
+		if slices.Contains(st.proposers, msg.From) {
+			return
+		}
+		st.proposers = append(st.proposers, msg.From)
+		for i, v := range p.Vals {
+			if !p.Bots[i] {
+				st.tally[4*i+tallySMsg+int(v)]++
 			}
 		}
+	case VecDecidedMsg:
+		if len(p.Vals) != m.b {
+			return
+		}
+		if m.cfg.Gadget && m.adoptDecided == nil {
+			m.adoptDecided = p.Vals
+		}
 	}
+}
+
+// binaryAt reports whether every value of vals is 0 or 1, skipping the
+// ⊥ positions bots marks (nil marks none): the tally counts only those
+// two values.
+func binaryAt(vals []types.Value, bots []bool) bool {
+	for i, v := range vals {
+		if !v.Valid() && (bots == nil || !bots[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// board returns stage s's board, creating it on first contact. The
+// pointer is valid until the next board call.
+func (m *VectorMachine) board(s int) *vecStage {
+	if st := m.lookup(s); st != nil {
+		return st
+	}
+	// One allocation holds both sender lists, n each.
+	senders := make([]types.ProcID, 2*m.cfg.N)
+	m.stages = append(m.stages, vecStage{
+		stage:     s,
+		reporters: senders[:0:m.cfg.N],
+		proposers: senders[m.cfg.N:m.cfg.N],
+		tally:     make([]int32, 4*m.b),
+	})
+	return &m.stages[len(m.stages)-1]
+}
+
+// lookup returns stage s's board, or nil if nothing of s arrived yet.
+func (m *VectorMachine) lookup(s int) *vecStage {
+	for i := range m.stages {
+		if m.stages[i].stage == s {
+			return &m.stages[i]
+		}
+	}
+	return nil
 }
 
 // progress cascades through the protocol until a wait is unsatisfied or
@@ -297,17 +361,14 @@ func (m *VectorMachine) progress(out []types.Message, rnd types.Rand) []types.Me
 // vector reports arrived: per element, propose the >n/2 majority value
 // or ⊥.
 func (m *VectorMachine) tryFinishReports(out []types.Message) ([]types.Message, bool) {
-	mm := m.reports[m.stage]
-	if len(mm) < m.cfg.N-m.cfg.T {
+	st := m.lookup(m.stage)
+	if st == nil || len(st.reporters) < m.cfg.N-m.cfg.T {
 		return out, false
 	}
 	vals := make([]types.Value, m.b)
 	bots := make([]bool, m.b)
 	for i := 0; i < m.b; i++ {
-		counts := [2]int{}
-		for _, vec := range mm {
-			counts[vec[i]]++
-		}
+		counts := st.counts(i, tallyReport)
 		switch {
 		case 2*counts[types.V0] > m.cfg.N:
 			vals[i] = types.V0
@@ -327,8 +388,8 @@ func (m *VectorMachine) tryFinishReports(out []types.Message) ([]types.Message, 
 // S-messages. The machine halts when every element has become
 // returnable; until then it advances to the next stage.
 func (m *VectorMachine) tryFinishProposals(out []types.Message, rnd types.Rand) ([]types.Message, bool) {
-	mm := m.proposals[m.stage]
-	if len(mm) < m.cfg.N-m.cfg.T {
+	st := m.lookup(m.stage)
+	if st == nil || len(st.proposers) < m.cfg.N-m.cfg.T {
 		return out, false
 	}
 	// One coin flip covers the whole stage: elements left without an
@@ -337,22 +398,13 @@ func (m *VectorMachine) tryFinishProposals(out []types.Message, rnd types.Rand) 
 	coinFlipped := false
 	var coin types.Value
 	for i := 0; i < m.b; i++ {
-		counts := [2]int{}
-		sawVal := false
-		var sVal types.Value
-		both := false
-		for _, pr := range mm {
-			if pr.bots[i] {
-				continue
-			}
-			v := pr.vals[i]
-			counts[v]++
-			if sawVal && v != sVal {
-				both = true
-			}
-			sawVal, sVal = true, v
+		counts := st.counts(i, tallySMsg)
+		sawVal := counts[types.V0]+counts[types.V1] > 0
+		sVal := types.V0
+		if counts[types.V1] > 0 {
+			sVal = types.V1
 		}
-		if both {
+		if counts[types.V0] > 0 && counts[types.V1] > 0 {
 			// Lemma 2 per projected run: impossible under fail-stop.
 			m.violation = fmt.Errorf("agreement: conflicting S-messages at stage %d element %d (counts %v)", m.stage, i, counts)
 			if counts[types.V1] >= counts[types.V0] {
@@ -399,6 +451,12 @@ func (m *VectorMachine) tryFinishProposals(out []types.Message, rnd types.Rand) 
 	m.stage++
 	m.ph = phaseReports
 	return m.broadcast(out, VecReportMsg{Stage: m.stage, Vals: m.snapshotX()}), true
+}
+
+// counts returns element i's tally of one message kind (tallyReport or
+// tallySMsg), indexed by value.
+func (st *vecStage) counts(i, kind int) [2]int {
+	return [2]int{int(st.tally[4*i+kind]), int(st.tally[4*i+kind+1])}
 }
 
 // decideAt enters the decision state for element i. Decisions are

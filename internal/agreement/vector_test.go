@@ -232,6 +232,55 @@ func TestVectorIgnoresMismatchedWidths(t *testing.T) {
 	}
 }
 
+// TestVectorIgnoresNonBinaryValues: a report or S-message carrying a
+// value other than 0 or 1 (a frame off the wire can) counts toward no
+// wait and breaks nothing; a ⊥ position's value is not read.
+func TestVectorIgnoresNonBinaryValues(t *testing.T) {
+	m, err := agreement.NewVector(agreement.VectorConfig{
+		ID: 0, N: 3, T: 1,
+		Initial: []types.Value{types.V1, types.V1},
+		Coins:   agreement.ListCoin{Coins: []types.Value{1, 1, 1}},
+		Gadget:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rng.NewStream(1)
+	m.Step(nil, rnd) // broadcasts (1,1,·)
+	bad := []types.Message{
+		{From: 1, To: 0, Payload: agreement.VecReportMsg{Stage: 1, Vals: []types.Value{2, 1}}},
+		{From: 2, To: 0, Payload: agreement.VecReportMsg{Stage: 1, Vals: []types.Value{1, 255}}},
+	}
+	if out := m.Step(bad, rnd); len(out) != 0 {
+		t.Fatalf("non-binary reports advanced the machine: %d sends", len(out))
+	}
+	good := []types.Message{
+		{From: 0, To: 0, Payload: agreement.VecReportMsg{Stage: 1, Vals: []types.Value{1, 1}}},
+		{From: 1, To: 0, Payload: agreement.VecReportMsg{Stage: 1, Vals: []types.Value{1, 1}}},
+	}
+	if out := m.Step(good, rnd); len(out) != 3 {
+		t.Fatalf("n−t valid reports sent %d proposals, want 3", len(out))
+	}
+	props := []types.Message{
+		{From: 1, To: 0, Payload: agreement.VecProposalMsg{Stage: 1, Vals: []types.Value{1, 7}, Bots: []bool{false, false}}},
+		{From: 2, To: 0, Payload: agreement.VecProposalMsg{Stage: 1, Vals: []types.Value{1, 7}, Bots: []bool{false, true}}},
+	}
+	m.Step(props, rnd)
+	if m.DecidedCount() != 0 || m.Stage() != 1 {
+		t.Fatalf("one valid S-message decided %d elements at stage %d", m.DecidedCount(), m.Stage())
+	}
+	mine := []types.Message{
+		{From: 0, To: 0, Payload: agreement.VecProposalMsg{Stage: 1, Vals: []types.Value{1, 1}, Bots: []bool{false, false}}},
+	}
+	m.Step(mine, rnd)
+	if m.Stage() != 2 {
+		t.Fatalf("n−t valid proposals left the machine at stage %d", m.Stage())
+	}
+	if v, ok := m.DecidedAt(0); !ok || v != types.V1 {
+		t.Fatalf("element 0 = (%v, %v), want decided 1", v, ok)
+	}
+}
+
 // TestVectorGadgetAdoption: a machine that receives a DECIDED vector
 // adopts it wholesale and halts, relaying once.
 func TestVectorGadgetAdoption(t *testing.T) {

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/agreement"
 	"repro/internal/types"
@@ -94,8 +95,9 @@ type BatchCommit struct {
 	votes []types.Value // current vote vector (GO timeout demotes all)
 	coins []types.Value
 
-	goSenders map[types.ProcID]bool
-	voteVecs  map[types.ProcID][]types.Value
+	// goSenders and voteVecs hold each sender once, in arrival order.
+	goSenders []types.ProcID
+	voteVecs  []senderVotes
 	waitClock int
 
 	sub           *agreement.VectorMachine
@@ -104,8 +106,13 @@ type BatchCommit struct {
 
 	halted bool
 
-	out    []types.Message
-	forSub []types.Message
+	out []types.Message // Step's scratch; AppendStep callers bring their own
+}
+
+// senderVotes is one sender's vote vector.
+type senderVotes struct {
+	from types.ProcID
+	vals []types.Value
 }
 
 var _ types.Machine = (*BatchCommit)(nil)
@@ -122,8 +129,8 @@ func NewBatch(cfg BatchConfig) (*BatchCommit, error) {
 		cfg:       cfg,
 		b:         len(cfg.Votes),
 		votes:     append([]types.Value(nil), cfg.Votes...),
-		goSenders: make(map[types.ProcID]bool),
-		voteVecs:  make(map[types.ProcID][]types.Value),
+		goSenders: make([]types.ProcID, 0, cfg.N),
+		voteVecs:  make([]senderVotes, 0, cfg.N),
 	}, nil
 }
 
@@ -196,43 +203,51 @@ func (c *BatchCommit) Violation() error {
 // unchanged: GO flood → 2K-tick GO wait → vectored vote exchange with a
 // 2K-tick timeout → vector agreement, with GO piggybacked on everything.
 func (c *BatchCommit) Step(received []types.Message, rnd types.Rand) []types.Message {
+	c.out = c.AppendStep(c.out[:0], received, rnd)
+	return c.out
+}
+
+// AppendStep is Step with the step's sends appended to dst rather than
+// to the machine's own scratch, so a caller stepping many machines
+// gathers their output in one buffer it owns and reuses.
+func (c *BatchCommit) AppendStep(dst, received []types.Message, rnd types.Rand) []types.Message {
 	c.clock++
 	if c.halted {
-		return nil
+		return dst
 	}
 
-	forSub := c.forSub[:0]
 	for i := range received {
 		inner, pbCoins := Unwrap(received[i].Payload)
 		if pbCoins != nil && c.coins == nil {
 			c.coins = pbCoins
 		}
+		from := received[i].From
 		switch p := inner.(type) {
 		case GoMsg:
 			if c.coins == nil {
 				c.coins = p.Coins
 			}
-			c.goSenders[received[i].From] = true
+			if !slices.Contains(c.goSenders, from) {
+				c.goSenders = append(c.goSenders, from)
+			}
 		case BatchVoteMsg:
 			// A wrong-width vector carries no evidence for this batch.
-			if len(p.Vals) != c.b {
+			if len(p.Vals) != c.b || c.votedBy(from) {
 				continue
 			}
-			if _, dup := c.voteVecs[received[i].From]; !dup {
-				c.voteVecs[received[i].From] = p.Vals
-			}
+			c.voteVecs = append(c.voteVecs, senderVotes{from: from, vals: p.Vals})
 		case agreement.VecReportMsg, agreement.VecProposalMsg, agreement.VecDecidedMsg:
 			m := received[i]
 			m.Payload = inner
 			if c.sub == nil {
 				c.preAgreement = append(c.preAgreement, m)
 			} else {
-				forSub = append(forSub, m)
+				c.sub.Deliver(m)
 			}
 		}
 	}
 
-	out := c.out[:0]
+	out := dst
 	for progress := true; progress; {
 		progress = false
 		switch c.st {
@@ -285,7 +300,7 @@ func (c *BatchCommit) Step(received []types.Message, rnd types.Rand) []types.Mes
 					input[i] = types.V1
 				}
 				for _, vec := range c.voteVecs {
-					for i, v := range vec {
+					for i, v := range vec.vals {
 						if v != types.V1 {
 							input[i] = types.V0
 						}
@@ -301,17 +316,25 @@ func (c *BatchCommit) Step(received []types.Message, rnd types.Rand) []types.Mes
 				c.st = stAgreement
 			}
 		case stAgreement:
-			subOut := c.sub.Step(forSub, rnd)
-			forSub = forSub[:0]
-			out = append(out, c.wrapAllBatch(subOut)...)
+			start := len(out)
+			out = c.sub.AppendStep(out, nil, rnd)
+			c.wrapAllBatch(out[start:])
 			if c.sub.Halted() {
 				c.halted = true
 			}
 		}
 	}
-	c.out = out
-	c.forSub = forSub[:0]
 	return out
+}
+
+// votedBy reports whether from's vote vector has already arrived.
+func (c *BatchCommit) votedBy(from types.ProcID) bool {
+	for _, v := range c.voteVecs {
+		if v.from == from {
+			return true
+		}
+	}
+	return false
 }
 
 // startAgreement builds the vector agreement machine and feeds it any
@@ -333,56 +356,19 @@ func (c *BatchCommit) startAgreement(out []types.Message, input []types.Value, r
 	}
 	c.sub = sub
 	c.subStartClock = c.clock
-	first := sub.Step(c.preAgreement, rnd)
+	start := len(out)
+	out = sub.AppendStep(out, c.preAgreement, rnd)
 	c.preAgreement = nil
-	return append(out, c.wrapAllBatch(first)...)
+	c.wrapAllBatch(out[start:])
+	return out
 }
 
-// wrapAllBatch applies GO piggybacking to outgoing agreement messages,
-// allocating one Piggyback box per distinct broadcast payload. Vector
-// payloads hold slices, so plain interface equality would panic; a
-// broadcast repeats the same value (hence the same backing arrays) n
-// times, and sameVecPayload detects that by slice identity.
-func (c *BatchCommit) wrapAllBatch(msgs []types.Message) []types.Message {
-	if c.coins == nil {
-		return msgs
+// wrapAllBatch applies GO piggybacking in place to outgoing agreement
+// broadcasts.
+func (c *BatchCommit) wrapAllBatch(msgs []types.Message) {
+	if c.coins != nil {
+		piggybackRuns(msgs, c.coins)
 	}
-	var lastInner, lastWrapped types.Payload
-	for i := range msgs {
-		p := msgs[i].Payload
-		if lastInner != nil && sameVecPayload(p, lastInner) {
-			msgs[i].Payload = lastWrapped
-			continue
-		}
-		lastInner = p
-		lastWrapped = Piggyback{Inner: p, Coins: c.coins}
-		msgs[i].Payload = lastWrapped
-	}
-	return msgs
-}
-
-// sameVecPayload reports whether a and b are the same broadcast payload
-// value, compared by stage and backing-array identity (never by
-// interface equality, which panics on slice-bearing types).
-func sameVecPayload(a, b types.Payload) bool {
-	switch x := a.(type) {
-	case agreement.VecReportMsg:
-		y, ok := b.(agreement.VecReportMsg)
-		return ok && x.Stage == y.Stage && sameValueSlice(x.Vals, y.Vals)
-	case agreement.VecProposalMsg:
-		y, ok := b.(agreement.VecProposalMsg)
-		return ok && x.Stage == y.Stage && sameValueSlice(x.Vals, y.Vals)
-	case agreement.VecDecidedMsg:
-		y, ok := b.(agreement.VecDecidedMsg)
-		return ok && sameValueSlice(x.Vals, y.Vals)
-	}
-	return false
-}
-
-// sameValueSlice reports slice identity: same length and same first
-// element address (vector widths are always >= 1).
-func sameValueSlice(a, b []types.Value) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // broadcast appends a send of p to all processors, optionally

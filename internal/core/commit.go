@@ -101,11 +101,10 @@ type Commit struct {
 	decision types.Value
 	halted   bool
 
-	// out and forSub are buffers reused across Step calls (see the
+	// out is Step's buffer, reused across Step calls (see the
 	// types.Machine contract: callers consume the returned slice before
-	// the next Step).
-	out    []types.Message
-	forSub []types.Message
+	// the next Step). AppendStep callers bring their own.
+	out []types.Message
 }
 
 var _ types.Machine = (*Commit)(nil)
@@ -179,12 +178,19 @@ func (c *Commit) Violation() error {
 
 // Step implements types.Machine.
 func (c *Commit) Step(received []types.Message, rnd types.Rand) []types.Message {
+	c.out = c.AppendStep(c.out[:0], received, rnd)
+	return c.out
+}
+
+// AppendStep is Step with the step's sends appended to dst rather than
+// to the machine's own scratch, so a caller stepping many machines
+// gathers their output in one buffer it owns and reuses.
+func (c *Commit) AppendStep(dst, received []types.Message, rnd types.Rand) []types.Message {
 	c.clock++
 	if c.halted {
-		return nil
+		return dst
 	}
 
-	forSub := c.forSub[:0]
 	for i := range received {
 		inner, pbCoins := Unwrap(received[i].Payload)
 		if pbCoins != nil && c.coins == nil {
@@ -206,12 +212,12 @@ func (c *Commit) Step(received []types.Message, rnd types.Rand) []types.Message 
 			if c.sub == nil {
 				c.preAgreement = append(c.preAgreement, m)
 			} else {
-				forSub = append(forSub, m)
+				c.sub.Deliver(m)
 			}
 		}
 	}
 
-	out := c.out[:0]
+	out := dst
 	// Cascade through control states as far as current knowledge allows.
 	for progress := true; progress; {
 		progress = false
@@ -273,10 +279,11 @@ func (c *Commit) Step(received []types.Message, rnd types.Rand) []types.Message 
 				c.st = stAgreement
 			}
 		case stAgreement:
-			// Drive the embedded Protocol 1 with this step's messages.
-			subOut := c.sub.Step(forSub, rnd)
-			forSub = forSub[:0]
-			out = append(out, c.wrapAll(subOut)...)
+			// Drive the embedded Protocol 1 with this step's messages
+			// (delivered to it above).
+			start := len(out)
+			out = c.sub.AppendStep(out, nil, rnd)
+			c.wrapAll(out[start:])
 			if v, ok := c.sub.Decision(); ok && !c.decided {
 				c.decided = true
 				c.decision = v
@@ -287,8 +294,6 @@ func (c *Commit) Step(received []types.Message, rnd types.Rand) []types.Message 
 			// No cascade: one sub-step per clock tick.
 		}
 	}
-	c.out = out
-	c.forSub = forSub[:0]
 	return out
 }
 
@@ -316,39 +321,19 @@ func (c *Commit) startAgreement(out []types.Message, input types.Value, rnd type
 	}
 	c.sub = sub
 	c.subStartClock = c.clock
-	first := sub.Step(c.preAgreement, rnd)
+	start := len(out)
+	out = sub.AppendStep(out, c.preAgreement, rnd)
 	c.preAgreement = nil
-	return append(out, c.wrapAll(first)...)
+	c.wrapAll(out[start:])
+	return out
 }
 
-// wrapAll applies GO piggybacking to outgoing protocol messages. The
-// inputs are Protocol 1 broadcasts, where all n messages of a broadcast
-// share one payload value: wrapping allocates one Piggyback box per
-// distinct payload, not one per message.
-func (c *Commit) wrapAll(msgs []types.Message) []types.Message {
-	if c.cfg.NoPiggyback || c.coins == nil {
-		return msgs
+// wrapAll applies GO piggybacking in place to outgoing Protocol 1
+// broadcasts.
+func (c *Commit) wrapAll(msgs []types.Message) {
+	if !c.cfg.NoPiggyback && c.coins != nil {
+		piggybackRuns(msgs, c.coins)
 	}
-	var lastInner, lastWrapped types.Payload
-	for i := range msgs {
-		p := msgs[i].Payload
-		switch p.(type) {
-		case agreement.ReportMsg, agreement.ProposalMsg, agreement.DecidedMsg, VoteMsg:
-			// Comparable payload types: safe to test interface equality
-			// against the previous message (a broadcast repeats the same
-			// boxed value n times).
-			if p == lastInner {
-				msgs[i].Payload = lastWrapped
-				continue
-			}
-			lastInner = p
-			lastWrapped = Piggyback{Inner: p, Coins: c.coins}
-			msgs[i].Payload = lastWrapped
-		default:
-			msgs[i].Payload = Piggyback{Inner: p, Coins: c.coins}
-		}
-	}
-	return msgs
 }
 
 // broadcast appends a send of p to all processors, optionally

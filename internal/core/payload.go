@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/agreement"
 	"repro/internal/types"
 )
 
@@ -83,4 +84,64 @@ func Unwrap(p types.Payload) (types.Payload, []types.Value) {
 		return pb.Inner, pb.Coins
 	}
 	return p, nil
+}
+
+// piggybackRuns wraps msgs' payloads in place with the GO coins. All n
+// messages of a broadcast share one payload value, so it allocates one
+// Piggyback box per run of one payload (see SamePayload), not one per
+// message.
+func piggybackRuns(msgs []types.Message, coins []types.Value) {
+	var lastInner, lastWrapped types.Payload
+	for i := range msgs {
+		p := msgs[i].Payload
+		if i == 0 || !SamePayload(p, lastInner) {
+			lastInner = p
+			lastWrapped = Piggyback{Inner: p, Coins: coins}
+		}
+		msgs[i].Payload = lastWrapped
+	}
+}
+
+// SamePayload reports whether a and b are one payload value repeated, as
+// the n messages of one broadcast are: scalar payloads compare by value,
+// and slice-bearing ones by backing-array identity — never by interface
+// equality, which panics on slice-bearing types. A false negative only
+// costs a second box, so payload types it does not know report false.
+// Wrappers use it to box one envelope per broadcast instead of one per
+// message.
+func SamePayload(a, b types.Payload) bool {
+	switch x := a.(type) {
+	case Piggyback:
+		y, ok := b.(Piggyback)
+		return ok && sameSlice(x.Coins, y.Coins) && SamePayload(x.Inner, y.Inner)
+	case GoMsg:
+		y, ok := b.(GoMsg)
+		return ok && sameSlice(x.Coins, y.Coins)
+	case VoteMsg, agreement.ReportMsg, agreement.ProposalMsg, agreement.DecidedMsg:
+		// Comparable types: == compares the dynamic types first, so a
+		// slice-bearing b of another type cannot make it panic.
+		return a == b
+	case BatchVoteMsg:
+		y, ok := b.(BatchVoteMsg)
+		return ok && sameSlice(x.Vals, y.Vals)
+	case agreement.VecReportMsg:
+		y, ok := b.(agreement.VecReportMsg)
+		return ok && x.Stage == y.Stage && sameSlice(x.Vals, y.Vals)
+	case agreement.VecProposalMsg:
+		y, ok := b.(agreement.VecProposalMsg)
+		return ok && x.Stage == y.Stage && sameSlice(x.Vals, y.Vals) && sameSlice(x.Bots, y.Bots)
+	case agreement.VecDecidedMsg:
+		y, ok := b.(agreement.VecDecidedMsg)
+		return ok && sameSlice(x.Vals, y.Vals)
+	}
+	return false
+}
+
+// sameSlice reports slice identity: both nil, or the same length and the
+// same first element.
+func sameSlice[T any](a, b []T) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return len(a) == len(b) && (a == nil) == (b == nil)
+	}
+	return len(a) == len(b) && &a[0] == &b[0]
 }

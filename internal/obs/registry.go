@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -109,17 +110,17 @@ func (f *family) get(values []string, mk func() any) any {
 // joinValues builds the child map key. \x1f never appears in sane label
 // values; escaping handles the pathological case.
 func joinValues(values []string) string {
-	out := ""
+	var b strings.Builder
 	for _, v := range values {
 		for i := 0; i < len(v); i++ {
 			if v[i] == '\x1f' || v[i] == '\\' {
-				out += "\\"
+				b.WriteByte('\\')
 			}
-			out += string(v[i])
+			b.WriteByte(v[i])
 		}
-		out += "\x1f"
+		b.WriteByte('\x1f')
 	}
-	return out
+	return b.String()
 }
 
 // Counter is a monotonically increasing count. Nil counters are no-ops.

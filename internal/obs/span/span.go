@@ -201,6 +201,25 @@ func (c *Collector) Add(s Span) int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.addLocked(s)
+}
+
+// AddAll records completed spans under one lock acquisition, assigning
+// ids in order as one Add per span would. It keeps no reference to
+// spans. No-op on a nil collector.
+func (c *Collector) AddAll(spans []Span) {
+	if c == nil || len(spans) == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range spans {
+		c.addLocked(s)
+	}
+}
+
+// addLocked is Add with c.mu held.
+func (c *Collector) addLocked(s Span) int {
 	c.seq++
 	s.ID = c.seq
 	var idx int
@@ -209,12 +228,14 @@ func (c *Collector) Add(s Span) int {
 		idx = len(c.buf) - 1
 	} else {
 		c.full = true
-		if c.buf[c.next].ID == 0 {
+		old := &c.buf[c.next]
+		if old.ID == 0 {
 			c.zeroed-- // reusing an already-evicted slot is not a drop
 		} else {
 			c.dropped++
+			c.unindexLocked(old.Txn, c.next)
 		}
-		c.buf[c.next] = s
+		*old = s
 		idx = c.next
 		c.next = (c.next + 1) % len(c.buf)
 	}
@@ -222,6 +243,23 @@ func (c *Collector) Add(s Span) int {
 		c.slots[s.Txn] = append(c.slots[s.Txn], idx)
 	}
 	return s.ID
+}
+
+// unindexLocked drops the overwritten slot idx from txn's index entry,
+// and the entry once it is empty, so keys that never reach CompleteTxn
+// (batch keys, abandoned transactions) cannot grow the index past the
+// ring's size. A transaction's slots are listed oldest first and the
+// ring overwrites its oldest slot first, so idx is the list's head.
+func (c *Collector) unindexLocked(txn string, idx int) {
+	list := c.slots[txn]
+	if len(list) == 0 || list[0] != idx {
+		return
+	}
+	if len(list) == 1 {
+		delete(c.slots, txn)
+		return
+	}
+	c.slots[txn] = list[1:]
 }
 
 // SetTxnCap bounds how many *completed* transactions' spans the

@@ -2,6 +2,7 @@ package span
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -265,4 +266,51 @@ func TestTxnCapNilAndDisabled(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len=%d", c.Len())
 	}
+}
+
+// TestTxnCapIndexBoundedByRing: keys that never reach CompleteTxn (batch
+// keys, abandoned transactions) leave the per-transaction index as the
+// ring overwrites their spans, so the index never outgrows the ring.
+func TestTxnCapIndexBoundedByRing(t *testing.T) {
+	const ring = 64
+	c := NewCollectorClock(ring, func() int64 { return 0 })
+	c.SetTxnCap(4)
+	for i := 0; i < 100_000; i++ {
+		c.Add(Span{Txn: "k" + strconv.Itoa(i), Track: "t", Name: "s"})
+	}
+	if n := len(c.slots); n > ring {
+		t.Fatalf("index holds %d keys after 100k never-completed keys, ring is %d", n, ring)
+	}
+	indexed := 0
+	for txn, list := range c.slots {
+		for _, idx := range list {
+			if c.buf[idx].Txn != txn {
+				t.Fatalf("index entry %s -> %d names a slot holding %q", txn, idx, c.buf[idx].Txn)
+			}
+			indexed++
+		}
+	}
+	if indexed != c.Len() {
+		t.Fatalf("index covers %d slots, ring holds %d spans", indexed, c.Len())
+	}
+}
+
+// TestAddAllMatchesAdd: AddAll records the same spans, with the same
+// ids, as one Add per span.
+func TestAddAllMatchesAdd(t *testing.T) {
+	var spans []Span
+	for _, n := range []string{"a", "b", "c", "d", "e"} {
+		spans = append(spans, Span{Txn: n, Track: "t", Name: n})
+	}
+	one := NewCollectorClock(3, func() int64 { return 0 })
+	for _, s := range spans {
+		one.Add(s)
+	}
+	all := NewCollectorClock(3, func() int64 { return 0 })
+	all.AddAll(spans)
+	if got, want := all.Graph(), one.Graph(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("AddAll graph %+v, Add graph %+v", got, want)
+	}
+	var nilC *Collector
+	nilC.AddAll(spans)
 }

@@ -48,8 +48,13 @@ type NodeConfig struct {
 	// goroutine, when the machine first decides.
 	OnDecision func(p types.ProcID, v types.Value)
 	// Registry, if non-nil, receives the node's runtime metrics (steps
-	// taken, messages consumed and produced, labeled by node id).
+	// taken, messages consumed and produced, labeled by shard and node
+	// id).
 	Registry *obs.Registry
+	// Shard is the value of the metrics' shard label, naming the commit
+	// group the node belongs to when several groups share one registry
+	// (internal/shard). Empty means "0", an unsharded group.
+	Shard string
 }
 
 // nodeMetrics bundles one node's handles into the shared registry. All
@@ -60,23 +65,32 @@ type nodeMetrics struct {
 	msgsOut *obs.Counter
 }
 
-func newNodeMetrics(reg *obs.Registry, p types.ProcID) nodeMetrics {
-	node := strconv.Itoa(int(p))
+func newNodeMetrics(reg *obs.Registry, shard string, p types.ProcID) nodeMetrics {
+	shard, node := shardLabel(shard), strconv.Itoa(int(p))
 	return nodeMetrics{
 		steps: reg.CounterVec("runtime_node_steps_total",
-			"Protocol steps (clock ticks) taken, by node.", "node").With(node),
+			"Protocol steps (clock ticks) taken, by shard and node.", "shard", "node").With(shard, node),
 		msgsIn: reg.CounterVec("runtime_node_messages_received_total",
-			"Messages consumed by the machine, by node.", "node").With(node),
+			"Messages consumed by the machine, by shard and node.", "shard", "node").With(shard, node),
 		msgsOut: reg.CounterVec("runtime_node_messages_sent_total",
-			"Messages produced by the machine, by node.", "node").With(node),
+			"Messages produced by the machine, by shard and node.", "shard", "node").With(shard, node),
 	}
 }
 
-// CrashCounter returns the fail-stop crash counter family in reg, shared
-// by Cluster.Crash and the service layer's external-transport backend.
+// shardLabel is the shard label value for a configured shard name.
+func shardLabel(shard string) string {
+	if shard == "" {
+		return "0"
+	}
+	return shard
+}
+
+// CrashCounter returns the fail-stop crash counter family in reg,
+// labeled by shard and node, shared by Cluster.Crash and the service
+// layer's external-transport backend.
 func CrashCounter(reg *obs.Registry) *obs.CounterVec {
 	return reg.CounterVec("runtime_node_crashes_total",
-		"Fail-stop crashes injected, by node.", "node")
+		"Fail-stop crashes injected, by shard and node.", "shard", "node")
 }
 
 // Node runs one machine.
@@ -119,7 +133,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.LingerTicks <= 0 {
 		cfg.LingerTicks = 8
 	}
-	return &Node{cfg: cfg, m: newNodeMetrics(cfg.Registry, cfg.Machine.ID()),
+	return &Node{cfg: cfg, m: newNodeMetrics(cfg.Registry, cfg.Shard, cfg.Machine.ID()),
 		done: make(chan struct{}), stop: make(chan struct{})}, nil
 }
 
@@ -262,6 +276,7 @@ type Cluster struct {
 	hub     *transport.Hub
 	nodes   []*Node
 	crashes *obs.CounterVec
+	shard   string // crash counter's shard label value
 	tracer  *obs.Tracer
 
 	// timerMu guards timers; closed gates timer callbacks so a CrashAfter
@@ -286,6 +301,8 @@ type ClusterOptions struct {
 	// Registry, if non-nil, receives every node's runtime metrics and the
 	// hub's transport metrics (unless Hub.Registry is already set).
 	Registry *obs.Registry
+	// Shard labels the nodes' metrics, as NodeConfig.Shard.
+	Shard string
 	// Tracer, if non-nil, records crash events injected via Crash.
 	Tracer *obs.Tracer
 }
@@ -300,7 +317,7 @@ func NewLocalCluster(machines []types.Machine, opts ClusterOptions) (*Cluster, e
 	}
 	hub := transport.NewHub(len(machines), opts.Hub)
 	seeds := rng.NewCollection(opts.Seed, len(machines))
-	c := &Cluster{hub: hub, tracer: opts.Tracer}
+	c := &Cluster{hub: hub, tracer: opts.Tracer, shard: shardLabel(opts.Shard)}
 	if opts.Registry != nil {
 		c.crashes = CrashCounter(opts.Registry)
 	}
@@ -314,6 +331,7 @@ func NewLocalCluster(machines []types.Machine, opts ClusterOptions) (*Cluster, e
 			OnDecision: opts.OnDecision,
 			Persistent: opts.Persistent,
 			Registry:   opts.Registry,
+			Shard:      opts.Shard,
 		})
 		if err != nil {
 			return nil, err
@@ -405,7 +423,7 @@ func (c *Cluster) Crash(p types.ProcID) {
 	}
 	c.hub.Crash(p)
 	c.nodes[p].Stop()
-	c.crashes.With(strconv.Itoa(int(p))).Inc()
+	c.crashes.With(c.shard, strconv.Itoa(int(p))).Inc()
 	c.tracer.Record(obs.Event{Node: int(p), Type: obs.EventCrash})
 }
 

@@ -354,8 +354,8 @@ func TestCrashAfterClusterClose(t *testing.T) {
 	// Scheduling after close is likewise inert.
 	c.CrashAfter(0, time.Nanosecond)
 	time.Sleep(50 * time.Millisecond) // let any stray timer fire
-	crashes := runtime.CrashCounter(reg).With("1").Value() +
-		runtime.CrashCounter(reg).With("0").Value()
+	crashes := runtime.CrashCounter(reg).With("0", "1").Value() +
+		runtime.CrashCounter(reg).With("0", "0").Value()
 	if crashes != 0 {
 		t.Errorf("crash fired after cluster close (count=%d)", crashes)
 	}
@@ -366,7 +366,7 @@ func TestCrashAfterClusterClose(t *testing.T) {
 	}
 	// And a direct Crash after close is a guarded no-op too.
 	c.Crash(0)
-	if got := runtime.CrashCounter(reg).With("0").Value(); got != 0 {
+	if got := runtime.CrashCounter(reg).With("0", "0").Value(); got != 0 {
 		t.Errorf("direct crash after close counted (%d)", got)
 	}
 }

@@ -77,18 +77,25 @@ type pending struct {
 // Every family carries a leading "shard" label so N independent groups
 // hosted in one daemon (internal/shard) share the registry without their
 // counts merging; an unsharded service is shard "0".
+//
+// Labeled handles are resolved here, once: With builds its label key on
+// every call, a cost not worth paying per transaction.
 type svcMetrics struct {
-	shard          string
-	submitted      *obs.Counter
-	outcomes       *obs.CounterVec // labels: shard, outcome (committed|aborted|timed_out|failed)
-	rejected       *obs.CounterVec // labels: shard, reason (full|draining)
+	shard     string
+	submitted *obs.Counter
+
+	// service_outcomes_total, by outcome.
+	committed, aborted, timedOut, failed *obs.Counter
+	// service_rejected_total, by reason.
+	rejectedFull, rejectedDraining *obs.Counter
+
 	batches        *obs.Counter
 	violations     *obs.Counter
-	latency        *obs.Histogram    // seconds, decided (COMMIT/ABORT) submissions
-	stage          *obs.HistogramVec // seconds per pipeline stage, labels: shard, stage
-	occupancy      *obs.Histogram    // members per dispatched agreement batch
-	batchesDecided *obs.Counter      // batches whose every member resolved
-	rescues        *obs.Counter      // orphaned singles/batches re-dispatched after a coordinator crash
+	latency        *obs.Histogram            // seconds, decided (COMMIT/ABORT) submissions
+	stage          map[string]*obs.Histogram // seconds per pipeline stage, by stage name
+	occupancy      *obs.Histogram            // members per dispatched agreement batch
+	batchesDecided *obs.Counter              // batches whose every member resolved
+	rescues        *obs.Counter              // orphaned singles/batches re-dispatched after a coordinator crash
 }
 
 // OccupancyBuckets are the upper bounds for the batch-occupancy
@@ -97,14 +104,28 @@ type svcMetrics struct {
 var OccupancyBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
+	outcomes := reg.CounterVec("service_outcomes_total",
+		"Terminal submission outcomes.", "shard", "outcome")
+	rejected := reg.CounterVec("service_rejected_total",
+		"Submissions rejected at admission.", "shard", "reason")
+	stage := reg.HistogramVec("service_stage_seconds",
+		"Per-stage latency of the submission pipeline (admit, batch, dispatch, decided, notify).",
+		obs.DefBuckets, "shard", "stage")
+	stages := make(map[string]*obs.Histogram, len(stageNames))
+	for _, st := range stageNames {
+		stages[st] = stage.With(shard, st)
+	}
 	return svcMetrics{
 		shard: shard,
 		submitted: reg.CounterVec("service_submitted_total",
 			"Transactions admitted into the queue.", "shard").With(shard),
-		outcomes: reg.CounterVec("service_outcomes_total",
-			"Terminal submission outcomes.", "shard", "outcome"),
-		rejected: reg.CounterVec("service_rejected_total",
-			"Submissions rejected at admission.", "shard", "reason"),
+		committed:        outcomes.With(shard, "committed"),
+		aborted:          outcomes.With(shard, "aborted"),
+		timedOut:         outcomes.With(shard, "timed_out"),
+		failed:           outcomes.With(shard, "failed"),
+		rejectedFull:     rejected.With(shard, "full"),
+		rejectedDraining: rejected.With(shard, "draining"),
+		stage:            stages,
 		batches: reg.CounterVec("service_batches_total",
 			"Dispatcher wakeups that dispatched at least one submission.", "shard").With(shard),
 		violations: reg.CounterVec("service_safety_violations_total",
@@ -112,9 +133,6 @@ func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
 		latency: reg.HistogramVec("service_latency_seconds",
 			"Submission-to-decision latency of committed/aborted transactions.",
 			obs.DefBuckets, "shard").With(shard),
-		stage: reg.HistogramVec("service_stage_seconds",
-			"Per-stage latency of the submission pipeline (admit, batch, dispatch, decided, notify).",
-			obs.DefBuckets, "shard", "stage"),
 		occupancy: reg.HistogramVec("service_batch_occupancy",
 			"Members per dispatched agreement batch (batched agreement mode).",
 			OccupancyBuckets, "shard").With(shard),
@@ -124,15 +142,6 @@ func newSvcMetrics(reg *obs.Registry, shard string) svcMetrics {
 			"Orphaned transactions or batches re-dispatched to a live coordinator after a coordinator fail-stop.", "shard").With(shard),
 	}
 }
-
-// outcome returns this shard's counter for one terminal outcome.
-func (m *svcMetrics) outcome(o string) *obs.Counter { return m.outcomes.With(m.shard, o) }
-
-// reject returns this shard's counter for one admission-rejection reason.
-func (m *svcMetrics) reject(r string) *obs.Counter { return m.rejected.With(m.shard, r) }
-
-// stageHist returns this shard's histogram for one pipeline stage.
-func (m *svcMetrics) stageHist(st string) *obs.Histogram { return m.stage.With(m.shard, st) }
 
 // stageNames lists the pipeline stages in causal order.
 var stageNames = []string{
@@ -301,6 +310,7 @@ func New(cfg Config) (*Service, error) {
 			Hub:        cfg.Hub,
 			Persistent: true,
 			Registry:   cfg.Registry,
+			Shard:      shardLabel,
 			Tracer:     cfg.Tracer,
 		})
 		if err != nil {
@@ -320,6 +330,7 @@ func New(cfg Config) (*Service, error) {
 				TickEvery:  cfg.TickEvery,
 				Persistent: true,
 				Registry:   cfg.Registry,
+				Shard:      shardLabel,
 			})
 			if err != nil {
 				return nil, err
@@ -403,7 +414,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
-		s.met.reject("draining").Inc()
+		s.met.rejectedDraining.Inc()
 		return Result{}, ErrDraining
 	}
 	id := req.ID
@@ -422,7 +433,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (Result, error) {
 	default:
 		hint := s.cfg.RetryHint
 		s.mu.Unlock()
-		s.met.reject("full").Inc()
+		s.met.rejectedFull.Inc()
 		return Result{}, &OverloadError{RetryAfter: hint}
 	}
 	s.met.submitted.Inc()
@@ -611,7 +622,7 @@ func (s *Service) recordStage(id txn.ID, stage string, start, end int64, detail 
 		Start: start, End: end, From: -1, To: -1, Detail: detail,
 	})
 	d := float64(end-start) / 1e6 // collector clock is microseconds
-	s.met.stageHist(stage).Observe(d)
+	s.met.stage[stage].Observe(d)
 	if rec := s.stageLat[stage]; rec != nil {
 		rec.Add(d * 1e3) // recorders hold milliseconds
 	}
@@ -723,13 +734,13 @@ func (s *Service) resolve(p *pending, state State, d types.Decision) {
 
 	switch state {
 	case StateCommit:
-		s.met.outcome("committed").Inc()
+		s.met.committed.Inc()
 	case StateAbort:
-		s.met.outcome("aborted").Inc()
+		s.met.aborted.Inc()
 	case StateTimeout:
-		s.met.outcome("timed_out").Inc()
+		s.met.timedOut.Inc()
 	case StateFailed:
-		s.met.outcome("failed").Inc()
+		s.met.failed.Inc()
 	}
 	if p.timer != nil {
 		p.timer.Stop()
@@ -834,7 +845,7 @@ func (s *Service) Crash(p types.ProcID) error {
 	} else {
 		s.nodes[p].Stop()
 		s.exts[p].Close() //nolint:errcheck // best-effort fail-stop
-		s.crashCtr.With(strconv.Itoa(int(p))).Inc()
+		s.crashCtr.With(s.met.shard, strconv.Itoa(int(p))).Inc()
 		s.cfg.Tracer.Record(obs.Event{
 			Node: int(p), Type: obs.EventCrash, Tick: s.managers[p].Clock(),
 		})
@@ -960,12 +971,12 @@ func (s *Service) Metrics() Metrics {
 		N:                s.cfg.N,
 		Draining:         s.stopped,
 		Submitted:        s.met.submitted.Value(),
-		Committed:        s.met.outcome("committed").Value(),
-		Aborted:          s.met.outcome("aborted").Value(),
-		TimedOut:         s.met.outcome("timed_out").Value(),
-		Failed:           s.met.outcome("failed").Value(),
-		RejectedFull:     s.met.reject("full").Value(),
-		RejectedDraining: s.met.reject("draining").Value(),
+		Committed:        s.met.committed.Value(),
+		Aborted:          s.met.aborted.Value(),
+		TimedOut:         s.met.timedOut.Value(),
+		Failed:           s.met.failed.Value(),
+		RejectedFull:     s.met.rejectedFull.Value(),
+		RejectedDraining: s.met.rejectedDraining.Value(),
 		Batches:          s.met.batches.Value(),
 		BatchesDecided:   s.met.batchesDecided.Value(),
 		MaxBatch:         s.maxBatch,
@@ -1067,8 +1078,8 @@ func (s *Service) WatchSample(stall time.Duration) watch.ShardSample {
 	s.mu.Unlock()
 	sort.Slice(sm.Stalled, func(i, j int) bool { return sm.Stalled[i].Txn < sm.Stalled[j].Txn })
 	sm.Submitted = s.met.submitted.Value()
-	sm.Decided = s.met.outcome("committed").Value() + s.met.outcome("aborted").Value()
-	sm.TimedOut = s.met.outcome("timed_out").Value()
+	sm.Decided = s.met.committed.Value() + s.met.aborted.Value()
+	sm.TimedOut = s.met.timedOut.Value()
 	sm.Rescues = s.met.rescues.Value()
 	sm.Latency = s.met.latency.Buckets()
 	if s.cfg.Journal != nil {

@@ -183,12 +183,18 @@ func (h *Hub) deliver(msg types.Message) error {
 		now := h.opts.Spans.Now()
 		if b, ok := msg.Payload.(txn.Bundle); ok {
 			// One link span per envelope, as if each had travelled alone,
-			// so per-transaction span graphs do not see the bundling.
+			// so per-transaction span graphs do not see the bundling; the
+			// bundle's spans enter the collector under one lock.
+			buf := linkSpans.Get().(*[]span.Span)
+			spans := (*buf)[:0]
 			for _, it := range b.Items {
-				h.linkSpan(msg, it, now, delay)
+				spans = append(spans, linkSpan(msg, it, now, delay))
 			}
+			h.opts.Spans.AddAll(spans)
+			*buf = spans
+			linkSpans.Put(buf)
 		} else {
-			h.linkSpan(msg, msg.Payload, now, delay)
+			h.opts.Spans.Add(linkSpan(msg, msg.Payload, now, delay))
 		}
 	}
 	copies := 1 + fault.Duplicates
@@ -208,9 +214,15 @@ func (h *Hub) deliver(msg types.Message) error {
 	return nil
 }
 
-// linkSpan records one link span for payload p carried by msg, sent at
-// now and due after delay.
-func (h *Hub) linkSpan(msg types.Message, p types.Payload, now int64, delay time.Duration) {
+// linkSpans recycles the slices a bundle's link spans are gathered in
+// before they enter the collector together.
+var linkSpans = sync.Pool{New: func() any { return new([]span.Span) }}
+
+// linkSpan builds the link span for payload p carried by msg, sent at
+// now and due after delay. The transaction key and the name come from
+// the payload's TxnID and Kind, which the envelope types answer without
+// building a string.
+func linkSpan(msg types.Message, p types.Payload, now int64, delay time.Duration) span.Span {
 	txnID := ""
 	if tp, ok := p.(interface{ TxnID() string }); ok {
 		txnID = tp.TxnID()
@@ -219,11 +231,11 @@ func (h *Hub) linkSpan(msg types.Message, p types.Payload, now int64, delay time
 	if p != nil {
 		name = p.Kind()
 	}
-	h.opts.Spans.Add(span.Span{
+	return span.Span{
 		Txn: txnID, Track: span.NetTrack, Name: name, Kind: span.KindLink,
 		Start: now, End: now + delay.Microseconds(),
 		From: int(msg.From), To: int(msg.To),
-	})
+	}
 }
 
 func (h *Hub) enqueue(msg types.Message) {

@@ -25,6 +25,11 @@ type BatchEnvelope struct {
 	Batch BatchID
 	Txns  []ID
 	Inner types.Payload
+
+	// key is the batch's trace key, "batch:<id>", set by the sending
+	// manager so TxnID builds no string per message. It is not part of
+	// the frame: a decoded envelope builds the key on demand.
+	key string
 }
 
 // Kind implements types.Payload.
@@ -32,12 +37,20 @@ func (e BatchEnvelope) Kind() string {
 	if e.Inner == nil {
 		return "txnb.envelope"
 	}
-	return "txnb:" + e.Inner.Kind()
+	return envelopeKind(batchEnvelopeKinds, "txnb:", e.Inner.Kind())
 }
 
 // TxnID exposes a stable trace key for link-span attribution; batch
 // frames are attributed to the batch, not a member.
-func (e BatchEnvelope) TxnID() string { return "batch:" + string(e.Batch) }
+func (e BatchEnvelope) TxnID() string {
+	if e.key != "" {
+		return e.key
+	}
+	return batchKey(e.Batch)
+}
+
+// batchKey is a batch's trace and span key.
+func batchKey(b BatchID) string { return "batch:" + string(b) }
 
 // SizeBits implements types.Sized: inner payload, a 64-bit batch id
 // hash, and a 64-bit id hash per member.
@@ -49,10 +62,8 @@ func (e BatchEnvelope) SizeBits() int {
 // and trace edge-detection state instance keeps, and the per-element
 // reporting bitmap that fans batch decisions back out to transactions.
 type binstance struct {
-	id    BatchID
+	*batchRecord
 	c     *core.BatchCommit
-	txns  []ID
-	idx   map[ID]int
 	key   string          // trace/span key: "batch:<id>"
 	inbox []types.Message // unwrapped envelopes for the next step
 
@@ -75,8 +86,32 @@ type binstance struct {
 	doneCounted   bool // txn_batches_decided_total incremented
 }
 
-func (b *binstance) indexOf(txn ID) int {
-	i, ok := b.idx[txn]
+// batchRecord is the part of a batch that outlives its instance: the
+// member list in vector order and, once the batch retires, each member's
+// decision (DecisionNone for an abandoned undecided member). Every
+// member's memberOf entry points at it, so one record answers for all
+// members after retirement, where a tombstone per member would cost a
+// map entry each. Fields other than id are guarded by the batch shard's
+// lock.
+type batchRecord struct {
+	id        BatchID
+	txns      []ID
+	idx       map[ID]int       // member -> vector index, built by the first query
+	decisions []types.Decision // nil until the batch retires
+}
+
+// indexOf returns txn's position in the member list, or -1. Queries are
+// rare next to spawns (the service learns outcomes from OnOutcome), so
+// the index is built on the first one. Caller holds the batch shard's
+// lock.
+func (r *batchRecord) indexOf(txn ID) int {
+	if r.idx == nil {
+		r.idx = make(map[ID]int, len(r.txns))
+		for i, id := range r.txns {
+			r.idx[id] = i
+		}
+	}
+	i, ok := r.idx[txn]
 	if !ok {
 		return -1
 	}
@@ -109,12 +144,17 @@ func (m *Manager) BeginBatch(batch BatchID, txns []ID, votes []bool) error {
 	if sh.retiredBatches[batch] {
 		return fmt.Errorf("txn: batch %q already finished", batch)
 	}
-	return m.spawnBatchLocked(sh, batch, txns, vals, m.cfg.ID, m.clockNow())
+	// The member list travels in every frame of the batch, so it must not
+	// alias the caller's slice.
+	members := append([]ID(nil), txns...)
+	return m.spawnBatchLocked(sh, batch, members, vals, m.cfg.ID, m.clockNow())
 }
 
 // spawnBatchLocked creates the batched commit instance and registers its
-// members for id-keyed lookups. Caller holds the batch shard's lock.
-func (m *Manager) spawnBatchLocked(sh *mshard, batch BatchID, txns []ID, votes []types.Value, coordinator types.ProcID, tick int) error {
+// members for id-keyed lookups. It keeps members, which must never be
+// modified: a joining node passes the list of the frame that reached
+// it. Caller holds the batch shard's lock.
+func (m *Manager) spawnBatchLocked(sh *mshard, batch BatchID, members []ID, votes []types.Value, coordinator types.ProcID, tick int) error {
 	c, err := core.NewBatch(core.BatchConfig{
 		ID: m.cfg.ID, N: m.cfg.N, T: m.cfg.T, K: m.cfg.K,
 		Votes: votes, CoinFactor: m.cfg.CoinFactor, Gadget: true,
@@ -123,22 +163,20 @@ func (m *Manager) spawnBatchLocked(sh *mshard, batch BatchID, txns []ID, votes [
 	if err != nil {
 		return err
 	}
-	members := make([]ID, len(txns))
-	copy(members, txns)
-	idx := make(map[ID]int, len(members))
-	for i, id := range members {
-		idx[id] = i
-	}
+	rec := &batchRecord{id: batch, txns: members}
 	bi := &binstance{
-		id: batch, c: c, txns: members, idx: idx, key: "batch:" + string(batch),
-		born: tick, haltedAt: -1,
+		batchRecord: rec, c: c, key: batchKey(batch),
+		inbox: sh.takeInbox(), born: tick, haltedAt: -1,
 		round: 1, roundStartClock: tick, roundStartU: m.cfg.Spans.Now(),
 		reportedElems: make([]bool, len(members)),
 	}
 	sh.batches[batch] = bi
 	sh.border = append(sh.border, bi)
 	for _, id := range members {
-		m.members.Store(id, batch)
+		home := m.shardFor(string(id))
+		home.memberMu.Lock()
+		home.memberOf[id] = rec
+		home.memberMu.Unlock()
 	}
 	m.spawned.Add(1)
 	m.met.started.Add(uint64(len(members)))
@@ -243,8 +281,10 @@ func (m *Manager) spanBatchRoundLocked(bi *binstance, tick int, force bool) {
 func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []types.Message, decidedNow []Outcome) ([]types.Message, []Outcome) {
 	kept := sh.border[:0]
 	for _, bi := range sh.border {
-		sub := bi.c.Step(bi.inbox, rnd)
+		start := len(out)
+		out = bi.c.AppendStep(out, bi.inbox, rnd)
 		bi.inbox = bi.inbox[:0]
+		sub := out[start:]
 		if m.cfg.Tracer != nil {
 			m.traceBatchOutputsLocked(bi, sub, tick)
 			if ag := bi.c.Agreement(); ag != nil {
@@ -254,10 +294,9 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 				}
 			}
 		}
-		for j := range sub {
-			sub[j].Payload = BatchEnvelope{Batch: bi.id, Txns: bi.txns, Inner: sub[j].Payload}
-		}
-		out = append(out, sub...)
+		wrapRuns(sub, func(p types.Payload) types.Payload {
+			return BatchEnvelope{Batch: bi.id, Txns: bi.txns, Inner: p, key: bi.key}
+		})
 
 		// Elements decide during a step, the halting one included, so one
 		// fan-out pass after each step reports every element exactly once.
@@ -270,21 +309,21 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 				continue
 			}
 			bi.reportedElems[i] = true
-			m.met.decided.With(m.node, d.String()).Inc()
+			m.met.decided(d)
 			m.met.rounds.Observe(float64(tick - bi.born))
 			if m.cfg.Tracer != nil {
-				m.trace(string(txn), obs.EventDecided, tick, "decision="+d.String())
+				m.trace(string(txn), obs.EventDecided, tick, decisionDetail(d))
 			}
 			if m.cfg.Spans != nil {
 				now := m.cfg.Spans.Now()
 				m.cfg.Spans.Add(span.Span{
 					Txn: string(txn), Track: span.ProcTrack(int(m.cfg.ID)),
 					Name: "decided", Kind: span.KindStage, Start: now, End: now,
-					From: -1, To: -1, Detail: "decision=" + d.String() + " batch=" + string(bi.id),
+					From: -1, To: -1, Detail: decisionDetail(d) + " batch=" + string(bi.id),
 				})
 			}
 			o := Outcome{Txn: txn, Decision: d}
-			sh.pending = append(sh.pending, o)
+			m.queueLocked(sh, o)
 			decidedNow = append(decidedNow, o)
 		}
 		if !bi.doneCounted && bi.c.DecidedCount() == bi.c.Width() {
@@ -299,6 +338,7 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 		switch {
 		case bi.c.Halted():
 			bi.haltedAt = tick
+			sh.giveInbox(bi.inbox)
 			bi.inbox = nil
 			sh.bhalted = append(sh.bhalted, bi)
 		case m.cfg.MaxAge > 0 && tick-bi.born >= m.cfg.MaxAge:
@@ -312,11 +352,12 @@ func (m *Manager) stepBatchesLocked(sh *mshard, tick int, rnd types.Rand, out []
 	return out, decidedNow
 }
 
-// retireBatchLocked removes a finished (or abandoned) batch, leaving a
-// per-member decision tombstone on the batch's shard — DecisionOf and
-// Watch keep answering through the members index. Caller holds sh.mu and
-// removes bi from whichever list held it.
+// retireBatchLocked removes a finished (or abandoned) batch, recording
+// its members' decisions in its batchRecord — DecisionOf and Watch keep
+// answering for them through memberOf. Caller holds sh.mu and removes bi
+// from whichever list held it.
 func (m *Manager) retireBatchLocked(sh *mshard, bi *binstance, tick int) {
+	decisions := make([]types.Decision, len(bi.txns))
 	for i, txn := range bi.txns {
 		d, decided := bi.c.OutcomeAt(i)
 		if decided {
@@ -331,8 +372,11 @@ func (m *Manager) retireBatchLocked(sh *mshard, bi *binstance, tick int) {
 				m.trace(string(txn), obs.EventAbandoned, tick, "")
 			}
 		}
-		sh.retired[txn] = d
+		decisions[i] = d
 	}
+	bi.decisions = decisions
 	sh.retiredBatches[bi.id] = true
 	delete(sh.batches, bi.id)
+	sh.giveInbox(bi.inbox)
+	bi.inbox = nil
 }

@@ -50,6 +50,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/hash64"
 	"repro/internal/obs"
@@ -71,7 +72,7 @@ func (e Envelope) Kind() string {
 	if e.Inner == nil {
 		return "txn.envelope"
 	}
-	return "txn:" + e.Inner.Kind()
+	return envelopeKind(envelopeKinds, "txn:", e.Inner.Kind())
 }
 
 // TxnID exposes the transaction id to layers that must not import this
@@ -127,7 +128,8 @@ type Config struct {
 	// OnOutcome, if non-nil, is invoked once per transaction as it
 	// decides at this node, from the goroutine driving Step and after the
 	// manager's locks are released (so the callback may call back into
-	// the manager).
+	// the manager). Outcomes then stays empty: each outcome goes to the
+	// callback only.
 	OnOutcome func(Outcome)
 	// RetireAfter, when positive, removes an instance that many ticks
 	// after it halts, keeping only a decision tombstone: later envelopes
@@ -172,7 +174,8 @@ type Config struct {
 // handles are nil no-ops when no registry is configured.
 type mmetrics struct {
 	started   *obs.Counter
-	decided   *obs.CounterVec // label: decision (COMMIT/ABORT)
+	commits   *obs.Counter // txn_instances_decided_total{decision="COMMIT"}
+	aborts    *obs.Counter // txn_instances_decided_total{decision="ABORT"}
 	retired   *obs.Counter
 	abandoned *obs.Counter
 	batches   *obs.Counter
@@ -180,11 +183,13 @@ type mmetrics struct {
 }
 
 func newMMetrics(reg *obs.Registry, node string) mmetrics {
+	decided := reg.CounterVec("txn_instances_decided_total",
+		"Commit instances decided, by node and decision.", "node", "decision")
 	return mmetrics{
 		started: reg.CounterVec("txn_instances_started_total",
 			"Commit instances spawned (begun or joined), by node; a batch counts one per member.", "node").With(node),
-		decided: reg.CounterVec("txn_instances_decided_total",
-			"Commit instances decided, by node and decision.", "node", "decision"),
+		commits: decided.With(node, types.DecisionCommit.String()),
+		aborts:  decided.With(node, types.DecisionAbort.String()),
 		retired: reg.CounterVec("txn_instances_retired_total",
 			"Decided instances retired to tombstones, by node.", "node").With(node),
 		abandoned: reg.CounterVec("txn_instances_abandoned_total",
@@ -194,6 +199,15 @@ func newMMetrics(reg *obs.Registry, node string) mmetrics {
 		rounds: reg.HistogramVec("txn_rounds_to_decision_ticks",
 			"Manager clock ticks from instance spawn to decision, by node.",
 			obs.TickBuckets, "node").With(node),
+	}
+}
+
+// decided counts one decision of an instance or batch member.
+func (mm *mmetrics) decided(d types.Decision) {
+	if d == types.DecisionCommit {
+		mm.commits.Inc()
+	} else {
+		mm.aborts.Inc()
 	}
 }
 
@@ -237,17 +251,32 @@ type mshard struct {
 	border    []*binstance
 	bhalted   []*binstance
 	pending   []Outcome
-	// retired maps finished-and-removed transactions to their decision
-	// (DecisionNone for abandoned undecided instances). Batch members
-	// are tombstoned on the batch's shard.
+	// retired maps finished-and-removed single transactions to their
+	// decision (DecisionNone for abandoned undecided instances).
 	retired map[ID]types.Decision
-	// retiredBatches drops stragglers for finished batches.
+	// retiredBatches drops stragglers for finished batches; their
+	// members' decisions live in their batchRecord.
 	retiredBatches map[BatchID]bool
 	watchers       map[ID][]chan Outcome
+
+	// memberOf maps the batch members homed on this shard (by member id)
+	// to their batch's record, so per-transaction queries (Watch,
+	// DecisionOf) can find the shard holding the batch and, after it
+	// retires, the member's decision. Entries live forever, like retired
+	// — id-keyed lookups must keep answering after retirement. memberMu
+	// guards the map and is a leaf lock: a batch's spawn takes it while
+	// holding the batch shard's mu, and nothing takes any mu while
+	// holding it.
+	memberMu sync.Mutex
+	memberOf map[ID]*batchRecord
 
 	// Scratch owned by the stepping goroutine; never touched by client
 	// calls, so it carries no lock.
 	recv []types.Message
+	// inboxes holds the emptied inboxes of halted and retired instances
+	// for new instances to take over, so a busy shard stops growing a
+	// fresh inbox from nil for every instance. Guarded by mu.
+	inboxes [][]types.Message
 }
 
 func newMshard() *mshard {
@@ -257,7 +286,41 @@ func newMshard() *mshard {
 		retired:        make(map[ID]types.Decision),
 		retiredBatches: make(map[BatchID]bool),
 		watchers:       make(map[ID][]chan Outcome),
+		memberOf:       make(map[ID]*batchRecord),
 	}
+}
+
+// batchOf returns the record of the batch a member homed on this shard
+// belongs to, or nil.
+func (sh *mshard) batchOf(txn ID) *batchRecord {
+	sh.memberMu.Lock()
+	defer sh.memberMu.Unlock()
+	return sh.memberOf[txn]
+}
+
+// takeInbox returns an empty inbox for a new instance, reusing one that
+// a halted or retired instance gave back when there is one. Caller holds
+// sh.mu.
+func (sh *mshard) takeInbox() []types.Message {
+	n := len(sh.inboxes)
+	if n == 0 {
+		return nil
+	}
+	in := sh.inboxes[n-1]
+	sh.inboxes[n-1] = nil
+	sh.inboxes = sh.inboxes[:n-1]
+	return in
+}
+
+// giveInbox takes back an instance's inbox once the instance will never
+// step again. Its stale messages are cleared so the payloads they point
+// to can be collected. Caller holds sh.mu.
+func (sh *mshard) giveInbox(in []types.Message) {
+	if cap(in) == 0 {
+		return
+	}
+	clear(in[:cap(in)])
+	sh.inboxes = append(sh.inboxes, in[:0])
 }
 
 // held reports how many instances the shard holds, halted ones included;
@@ -268,18 +331,12 @@ func (sh *mshard) held() int {
 
 // Manager runs all of one node's commit instances.
 type Manager struct {
-	cfg  Config
-	met  mmetrics
-	node string // cached label value
+	cfg Config
+	met mmetrics
 
 	clock   atomic.Int64
 	spawned atomic.Int64
 	shards  []*mshard
-	// members maps a batch member's id to its batch so per-transaction
-	// queries (Watch, DecisionOf) can find the shard holding the batch.
-	// Entries live as long as the batch's tombstone (forever, like
-	// retired) — id-keyed lookups must keep answering after retirement.
-	members sync.Map // ID -> BatchID
 
 	// Step scratch, owned by the stepping goroutine.
 	out        []types.Message // wrapped envelopes, in send order
@@ -326,7 +383,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:     cfg,
 		met:     newMMetrics(cfg.Registry, node),
-		node:    node,
 		shards:  make([]*mshard, cfg.InboxShards),
 		perPeer: make([]int, cfg.N),
 	}
@@ -379,7 +435,7 @@ func (m *Manager) spawnLocked(sh *mshard, txn ID, coordinator types.ProcID, vote
 	}
 	now := m.clockNow()
 	in := &instance{
-		id: txn, c: inst, born: now, haltedAt: -1,
+		id: txn, c: inst, inbox: sh.takeInbox(), born: now, haltedAt: -1,
 		round: 1, roundStartClock: now, roundStartU: m.cfg.Spans.Now(),
 	}
 	sh.instances[txn] = in
@@ -497,7 +553,10 @@ func (m *Manager) Halted() bool {
 	return true
 }
 
-// Outcomes drains the transactions decided since the last call.
+// Outcomes drains the transactions decided since the last call. A
+// manager with an OnOutcome callback hands every outcome to the callback
+// instead and keeps none for Outcomes: a long-lived service never drains
+// the queue, which would otherwise grow by one entry per decision.
 func (m *Manager) Outcomes() []Outcome {
 	var out []Outcome
 	for _, sh := range m.shards {
@@ -507,6 +566,14 @@ func (m *Manager) Outcomes() []Outcome {
 		sh.mu.Unlock()
 	}
 	return out
+}
+
+// queueLocked keeps a decided outcome for Outcomes, unless OnOutcome
+// receives it. Caller holds sh.mu.
+func (m *Manager) queueLocked(sh *mshard, o Outcome) {
+	if m.cfg.OnOutcome == nil {
+		sh.pending = append(sh.pending, o)
+	}
 }
 
 // lookupLocked answers a decision query against one shard's state for an
@@ -533,18 +600,21 @@ func (m *Manager) decisionOf(txn ID) (types.Decision, bool) {
 	if known {
 		return d, decided
 	}
-	if b, ok := m.members.Load(txn); ok {
-		bid := b.(BatchID)
-		bsh := m.shardFor(string(bid))
+	if rec := sh.batchOf(txn); rec != nil {
+		bsh := m.shardFor(string(rec.id))
 		bsh.mu.Lock()
 		defer bsh.mu.Unlock()
-		if bi, ok := bsh.batches[bid]; ok {
-			if i := bi.indexOf(txn); i >= 0 {
+		i := rec.indexOf(txn)
+		switch {
+		case i < 0:
+		case rec.decisions != nil:
+			if d := rec.decisions[i]; d != types.DecisionNone {
+				return d, true
+			}
+		default:
+			if bi, ok := bsh.batches[rec.id]; ok {
 				return bi.c.OutcomeAt(i)
 			}
-		}
-		if d, ok := bsh.retired[txn]; ok && d != types.DecisionNone {
-			return d, true
 		}
 	}
 	return types.DecisionNone, false
@@ -753,8 +823,10 @@ func (m *Manager) stepShardLocked(sh *mshard, tick int, rnd types.Rand, out []ty
 
 	kept := sh.order[:0]
 	for _, inst := range sh.order {
-		sub := inst.c.Step(inst.inbox, rnd)
+		start := len(out)
+		out = inst.c.AppendStep(out, inst.inbox, rnd)
 		inst.inbox = inst.inbox[:0]
+		sub := out[start:]
 		if m.cfg.Tracer != nil {
 			m.traceOutputsLocked(inst.id, inst, sub, tick)
 			if ag := inst.c.Agreement(); ag != nil {
@@ -764,10 +836,7 @@ func (m *Manager) stepShardLocked(sh *mshard, tick int, rnd types.Rand, out []ty
 				}
 			}
 		}
-		for j := range sub {
-			sub[j].Payload = Envelope{Txn: inst.id, Inner: sub[j].Payload}
-		}
-		out = append(out, sub...)
+		wrapRuns(sub, func(p types.Payload) types.Payload { return Envelope{Txn: inst.id, Inner: p} })
 		d, decided := inst.c.Outcome()
 		if decided && !inst.reported {
 			inst.reported = true
@@ -777,6 +846,7 @@ func (m *Manager) stepShardLocked(sh *mshard, tick int, rnd types.Rand, out []ty
 		switch {
 		case inst.c.Halted():
 			inst.haltedAt = tick
+			sh.giveInbox(inst.inbox)
 			inst.inbox = nil
 			sh.halted = append(sh.halted, inst)
 		case !decided && m.cfg.MaxAge > 0 && tick-inst.born >= m.cfg.MaxAge:
@@ -859,10 +929,10 @@ func (m *Manager) joinCoordinator(from types.ProcID) types.ProcID {
 // the closing round and decided spans, and the outcome queues. Caller
 // holds sh.mu.
 func (m *Manager) reportLocked(sh *mshard, inst *instance, d types.Decision, tick int, decidedNow []Outcome) []Outcome {
-	m.met.decided.With(m.node, d.String()).Inc()
+	m.met.decided(d)
 	m.met.rounds.Observe(float64(tick - inst.born))
 	if m.cfg.Tracer != nil {
-		m.trace(string(inst.id), obs.EventDecided, tick, "decision="+d.String())
+		m.trace(string(inst.id), obs.EventDecided, tick, decisionDetail(d))
 	}
 	if m.cfg.Spans != nil && !inst.spanDone {
 		m.spanRoundLocked(inst.id, inst, tick, true)
@@ -870,12 +940,12 @@ func (m *Manager) reportLocked(sh *mshard, inst *instance, d types.Decision, tic
 		m.cfg.Spans.Add(span.Span{
 			Txn: string(inst.id), Track: span.ProcTrack(int(m.cfg.ID)),
 			Name: "decided", Kind: span.KindStage, Start: now, End: now,
-			From: -1, To: -1, Detail: "decision=" + d.String(),
+			From: -1, To: -1, Detail: decisionDetail(d),
 		})
 		inst.spanDone = true
 	}
 	o := Outcome{Txn: inst.id, Decision: d}
-	sh.pending = append(sh.pending, o)
+	m.queueLocked(sh, o)
 	return append(decidedNow, o)
 }
 
@@ -897,4 +967,64 @@ func (m *Manager) retireLocked(sh *mshard, inst *instance, tick int) {
 	}
 	sh.retired[inst.id] = d
 	delete(sh.instances, inst.id)
+	sh.giveInbox(inst.inbox)
+	inst.inbox = nil
+}
+
+// decisionDetail is the trace and span detail naming a decision, built
+// once rather than per decided instance.
+func decisionDetail(d types.Decision) string {
+	switch d {
+	case types.DecisionCommit:
+		return "decision=COMMIT"
+	case types.DecisionAbort:
+		return "decision=ABORT"
+	}
+	return "decision=" + d.String()
+}
+
+// wrapRuns replaces each message's payload with its envelope, wrapping
+// in place. All n messages of a broadcast carry one payload value, so it
+// boxes one envelope per run of one payload (core.SamePayload), not one
+// per message; envelopes are immutable, so the peers share the box.
+func wrapRuns(msgs []types.Message, wrap func(types.Payload) types.Payload) {
+	var inner, boxed types.Payload
+	for i := range msgs {
+		p := msgs[i].Payload
+		if i == 0 || !core.SamePayload(p, inner) {
+			inner, boxed = p, wrap(p)
+		}
+		msgs[i].Payload = boxed
+	}
+}
+
+// envelopeKinds and batchEnvelopeKinds map the kind of every payload a
+// commit machine sends to its envelope's kind, "txn:" or "txnb:" plus
+// the inner kind. Link spans name every envelope by kind; the tables
+// build each name once instead of once per message. Filled at start-up
+// and only read after.
+var (
+	envelopeKinds      = kindNames("txn:")
+	batchEnvelopeKinds = kindNames("txnb:")
+)
+
+func kindNames(prefix string) map[string]string {
+	inner := []types.Payload{
+		core.GoMsg{}, core.VoteMsg{}, core.BatchVoteMsg{},
+		agreement.ReportMsg{}, agreement.ProposalMsg{}, agreement.DecidedMsg{},
+		agreement.VecReportMsg{}, agreement.VecProposalMsg{}, agreement.VecDecidedMsg{},
+	}
+	names := make(map[string]string, len(inner))
+	for _, p := range inner {
+		names[p.Kind()] = prefix + p.Kind()
+	}
+	return names
+}
+
+// envelopeKind returns prefix+inner, from names when it is there.
+func envelopeKind(names map[string]string, prefix, inner string) string {
+	if s, ok := names[inner]; ok {
+		return s
+	}
+	return prefix + inner
 }
